@@ -23,6 +23,7 @@ from .cyclotomic import CycScalar, I, i_power
 from .laurent import (
     LaurentPoly,
     RationalFn,
+    _perm_sign,
     exact_div,
     series_expand,
     series_expand_coeffs,
@@ -32,6 +33,7 @@ from .laurent import (
 from .wedge import (
     WedgeElem,
     Xvar,
+    add_term,
     collect_skew,
     kernel_F,
     kernel_F2,
@@ -156,7 +158,8 @@ def _lowering_kernel_series(n: int, square: bool, point: str, order: int):
                 raise AssertionError("divided kernel is not skew")
             if e1 < e2:
                 # skewness pins the (e2, e1) bucket to the negative of this one
-                assert split.get((e2, e1)) == _neg(coeff)
+                if split.get((e2, e1)) != -coeff:
+                    raise AssertionError("divided kernel is not skew")
                 acc[(e1, e2)] = coeff
         l_ker = 2
     else:
@@ -173,10 +176,6 @@ def _lowering_kernel_series(n: int, square: bool, point: str, order: int):
                 elem.terms[subset] = RationalFn.from_poly(c)
     _LOWER_CACHE[key] = out
     return out
-
-
-def _neg(r: RationalFn) -> RationalFn:
-    return -r
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +269,8 @@ def _combine_per_basis(family: str, P: WedgeElem, point: str, order: int, worker
             part = worker(family, basis_elem, point, order)
             _BASIS_SERIES_CACHE[key] = part
         for k, elem in part.items():
-            piece = elem.scaled(coeff)
-            if piece.is_zero():
-                continue
-            prev = total.get(k)
-            total[k] = piece if prev is None else prev + piece
-    return _clean(total)
+            add_term(total, k, elem.scaled(coeff))
+    return total
 
 
 def _residue_pair_series(family: str, P: WedgeElem, point: str, order: int) -> dict:
@@ -302,12 +297,10 @@ def _expand_elem(P: WedgeElem, point: str, order: int) -> dict:
     out = {}
     for s, c in P.terms.items():
         for k, val in series_expand_coeffs(c, "t", point, order).items():
-            if abs(k) > order or val.is_zero():
-                continue
-            elem = out.setdefault(k, WedgeElem(P.n, P.l))
-            prev = elem.terms.get(s)
-            elem.terms[s] = val if prev is None else prev + val
-    return _clean(out)
+            if abs(k) <= order and not val.is_zero():
+                # each (subset, power) pair occurs once, so nothing accumulates
+                out.setdefault(k, WedgeElem(P.n, P.l)).terms[s] = val
+    return out
 
 
 def _prefactor(family: str, point: str, n: int) -> CycScalar:
@@ -372,14 +365,10 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
             continue
         part = RationalFn._raw(nump, list(den) + [(th, 1)])
         for k, c in series_expand_coeffs(part, "t", point, order).items():
-            if abs(k) > order or c.is_zero():
-                continue
-            prev = per_power.get(k)
-            per_power[k] = c if prev is None else prev + c
+            if abs(k) <= order:
+                add_term(per_power, k, c)
     coeffs = {}
     for k, c in per_power.items():
-        if c.is_zero():
-            continue
         _check_skew_poly(c.num, l)
         elem = collect_skew(c, n, l)
         if not elem.is_zero():
@@ -405,8 +394,6 @@ def _check_skew_poly(num: LaurentPoly, l: int):
             else:
                 rest.append((name, e))
         table[(tuple(exps), tuple(rest))] = coeff
-    from .wedge import _perm_sign
-
     for (exps, rest), coeff in table.items():
         if len(set(exps)) != l:
             raise AssertionError("skew polynomial has a repeated slot exponent")
@@ -416,13 +403,6 @@ def _check_skew_poly(num: LaurentPoly, l: int):
         ref = table.get(skey)
         if ref is None or ref != (coeff if sgn > 0 else -coeff):
             raise AssertionError("a-series output failed to be skew symmetric")
-
-
-def _fact(l: int) -> int:
-    out = 1
-    for j in range(2, l + 1):
-        out *= j
-    return out
 
 
 def _flip_t(p: LaurentPoly) -> LaurentPoly:

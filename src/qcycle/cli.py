@@ -24,17 +24,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _threads() -> int:
-    raw = os.environ.get("QCYCLE_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise CliError("QCYCLE_THREADS must be an integer")
-    if val < 1:
-        raise CliError("QCYCLE_THREADS must be positive")
-    return val
-
-
 def _read_json(path):
     try:
         with open(path) as fh:
@@ -399,7 +388,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads()
     try:
         return args.fn(args)
     except CliError as exc:

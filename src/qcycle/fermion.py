@@ -11,21 +11,20 @@ every generator action.  All comparisons here are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import CycScalar, I, i_power
 from .laurent import (
     LaurentPoly,
     RationalFn,
+    gauss_jordan,
     series_expand_coeffs,
     substitute,
     sym_power,
     zvar,
 )
-from .wedge import WedgeElem
+from .wedge import SubsetTerms, WedgeElem, _coeff, add_term, subset_product
 
 
-class GrassmannElem:
+class GrassmannElem(SubsetTerms):
     """Element of the exterior algebra on psi_1..psi_n with K_n coefficients."""
 
     __slots__ = ("n", "terms")
@@ -40,60 +39,18 @@ class GrassmannElem:
                     subset and not (1 <= subset[0] and subset[-1] <= n)
                 ):
                     raise ValueError("bad psi index set %r" % (subset,))
-                if not isinstance(coeff, RationalFn):
-                    coeff = RationalFn.from_poly(
-                        coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
-                    )
+                coeff = _coeff(coeff)
                 if not coeff.is_zero():
                     self.terms[subset] = coeff
+
+    def _like(self, terms: dict) -> "GrassmannElem":
+        r = GrassmannElem(self.n)
+        r.terms = terms
+        return r
 
     @classmethod
     def vacuum(cls, n: int) -> "GrassmannElem":
         return cls(n, {(): LaurentPoly.one()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            c2 = out.get(s)
-            c2 = c if c2 is None else c2 + c
-            if c2.is_zero():
-                out.pop(s, None)
-            else:
-                out[s] = c2
-        r = GrassmannElem(self.n)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = GrassmannElem(self.n)
-        r.terms = {s: -c for s, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "GrassmannElem":
-        if not isinstance(c, RationalFn):
-            c = RationalFn.from_poly(
-                c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-            )
-        r = GrassmannElem(self.n)
-        if not c.is_zero():
-            r.terms = {s: c0 * c for s, c0 in self.terms.items()}
-        return r
-
-    def __eq__(self, other):
-        if not isinstance(other, GrassmannElem) or self.n != other.n:
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[s] == other.terms[s] for s in self.terms)
-
-    def __hash__(self):
-        raise TypeError("GrassmannElem is unhashable")
-
-    def is_zero(self):
-        return not self.terms
 
     def degrees(self):
         return sorted({len(s) for s in self.terms})
@@ -107,50 +64,24 @@ class GrassmannElem:
 
 
 def apply_psi(a: int, e: GrassmannElem) -> GrassmannElem:
-    out = GrassmannElem(e.n)
+    terms = {}
     for s, c in e.terms.items():
-        if a in s:
-            continue
-        pos = sum(1 for x in s if x < a)
-        s2 = tuple(sorted(s + (a,)))
-        c2 = c if pos % 2 == 0 else -c
-        prev = out.terms.get(s2)
-        c2 = c2 if prev is None else prev + c2
-        if c2.is_zero():
-            out.terms.pop(s2, None)
-        else:
-            out.terms[s2] = c2
-    return out
+        if a not in s:
+            pos = sum(1 for x in s if x < a)
+            terms[tuple(sorted(s + (a,)))] = -c if pos % 2 else c
+    return e._like(terms)
 
 
 def apply_psistar(a: int, e: GrassmannElem) -> GrassmannElem:
-    out = GrassmannElem(e.n)
+    terms = {}
     for s, c in e.terms.items():
-        if a not in s:
-            continue
-        pos = s.index(a)
-        s2 = s[:pos] + s[pos + 1:]
-        c2 = c if pos % 2 == 0 else -c
-        prev = out.terms.get(s2)
-        c2 = c2 if prev is None else prev + c2
-        if c2.is_zero():
-            out.terms.pop(s2, None)
-        else:
-            out.terms[s2] = c2
-    return out
+        if a in s:
+            pos = s.index(a)
+            terms[s[:pos] + s[pos + 1:]] = -c if pos % 2 else c
+    return e._like(terms)
 
 
-def apply_word_fermion(word, e: GrassmannElem) -> GrassmannElem:
-    """word = sequence of ("p"|"s", index) in operator-product order."""
-    out = e
-    for kind, a in reversed(list(word)):
-        out = apply_psi(a, out) if kind == "p" else apply_psistar(a, out)
-        if out.is_zero():
-            break
-    return out
-
-
-class FermionOp:
+class FermionOp(SubsetTerms):
     """Normal-ordered operator: sum of coeff * psi_A psi*_B words."""
 
     __slots__ = ("n", "terms")
@@ -159,42 +90,27 @@ class FermionOp:
         self.n = n
         self.terms = dict(terms) if terms else {}
 
+    def _like(self, terms: dict) -> "FermionOp":
+        r = FermionOp(self.n)
+        r.terms = terms
+        return r
+
     @classmethod
     def from_words(cls, n: int, words) -> "FermionOp":
         """words: iterable of (coeff, word) with word in operator-product order."""
         out = {}
         for coeff, word in words:
-            if not isinstance(coeff, RationalFn):
-                coeff = RationalFn.from_poly(
-                    coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
-                )
+            coeff = _coeff(coeff)
             for key, sgn in _normal_order(tuple(word)).items():
-                c = coeff if sgn > 0 else -coeff
-                prev = out.get(key)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c
+                add_term(out, key, coeff if sgn > 0 else -coeff)
         return cls(n, out)
 
     def apply(self, e: GrassmannElem) -> GrassmannElem:
         total = GrassmannElem(e.n)
         for (A, B), coeff in self.terms.items():
-            cur = e
-            for b in reversed(B):
-                cur = apply_psistar(b, cur)
-                if cur.is_zero():
-                    break
-            if cur.is_zero():
-                continue
-            for a in reversed(A):
-                cur = apply_psi(a, cur)
-                if cur.is_zero():
-                    break
-            if cur.is_zero():
-                continue
-            total = total + cur.scaled(coeff)
+            cur = self._apply_word(A, B, e)
+            if not cur.is_zero():
+                total = total + cur.scaled(coeff)
         return total
 
     def apply_series(self, e: GrassmannElem, point: str, order: int) -> dict:
@@ -209,10 +125,8 @@ class FermionOp:
                     word_applied = self._apply_word(A, B, e)
                 if word_applied.is_zero():
                     break
-                piece = word_applied.scaled(ck)
-                prev = out.get(k)
-                out[k] = piece if prev is None else prev + piece
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                add_term(out, k, word_applied.scaled(ck))
+        return out
 
     @staticmethod
     def _apply_word(A, B, e):
@@ -226,42 +140,6 @@ class FermionOp:
             if cur.is_zero():
                 return cur
         return cur
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            c2 = c if prev is None else prev + c
-            if c2.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c2
-        return FermionOp(self.n, out)
-
-    def __neg__(self):
-        return FermionOp(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "FermionOp":
-        if not isinstance(c, RationalFn):
-            c = RationalFn.from_poly(
-                c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-            )
-        if c.is_zero():
-            return FermionOp(self.n)
-        return FermionOp(self.n, {k: c0 * c for k, c0 in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FermionOp) or self.n != other.n:
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def __hash__(self):
-        raise TypeError("FermionOp is unhashable")
 
     def __repr__(self):
         parts = []
@@ -401,18 +279,8 @@ def _invert_matrix(m):
     one = RationalFn.from_poly(LaurentPoly.one())
     aug = [list(row) + [one if i == j else _ZERO_RF for j in range(size)]
            for i, row in enumerate(m)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ArithmeticError("basis change matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].reciprocal()
-        aug[col] = [x * inv if not x.is_zero() else x for x in aug[col]]
-        for r in range(size):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y if not y.is_zero() else x
-                          for x, y in zip(aug[r], aug[col])]
+    if len(gauss_jordan(aug, size)) < size:
+        raise ArithmeticError("basis change matrix is singular")
     return [row[size:] for row in aug]
 
 
@@ -483,29 +351,22 @@ def halfcurrent(family: str, point: str, n: int, l: int | None = None) -> Fermio
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
                 words.append((coeff_C(n, a, b), (("p", a), ("p", b))))
-        return FermionOp.from_words(n, words).scaled_cyc(I)
+        return FermionOp.from_words(n, words).scaled(I)
     if family == "xplus":
         if l is None:
             raise ValueError("the raising half current needs the input degree")
         scale = -i_power(n - 2 * l - 1)
         op = FermionOp.from_words(
             n, [(_coeff_raising(n, a), (("s", a),)) for a in range(1, n + 1)]
-        ).scaled_cyc(scale)
+        ).scaled(scale)
         return op if point == "zero" else -op
     if family == "xplus2":
         words = []
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
                 words.append((_coeff_raising_pair(n, a, b), (("s", a), ("s", b))))
-        return FermionOp.from_words(n, words).scaled_cyc(I * CycScalar((-1) ** n))
+        return FermionOp.from_words(n, words).scaled(I * CycScalar((-1) ** n))
     raise ValueError("no fermionic half current for family %r" % family)
-
-
-def _scaled_cyc(self: FermionOp, c: CycScalar) -> FermionOp:
-    return self.scaled(RationalFn.from_poly(LaurentPoly.const(c)))
-
-
-FermionOp.scaled_cyc = _scaled_cyc
 
 
 def b2_plus_op(n: int) -> FermionOp:
@@ -521,7 +382,7 @@ def b2_plus_op(n: int) -> FermionOp:
         za = LaurentPoly.var(zvar(a))
         frac = RationalFn(za * t, [one + za * t])
         words.append((frac, ()))
-        words.append((frac.scaled_cyc_num(-2), (("p", a), ("s", a))))
+        words.append((frac.scale(-2), (("p", a), ("s", a))))
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             za = LaurentPoly.var(zvar(a))
@@ -532,28 +393,6 @@ def b2_plus_op(n: int) -> FermionOp:
                 den.append(one + LaurentPoly.var(zvar(j)) * t)
             words.append((RationalFn(num, den), (("p", a), ("s", b))))
     return FermionOp.from_words(n, words)
-
-
-def _scaled_cyc_num(self: RationalFn, c) -> RationalFn:
-    if not isinstance(c, CycScalar):
-        c = CycScalar(c)
-    r = RationalFn.__new__(RationalFn)
-    r.num = self.num.scale(c)
-    r.den = self.den
-    return r
-
-
-RationalFn.scaled_cyc_num = _scaled_cyc_num
-
-
-def b_plus_modes(n: int, order: int) -> dict:
-    """Multiplication scalars of the odd lowering a-combination: -i p_m / m."""
-    out = {}
-    for m in range(1, order + 1, 2):
-        out[m] = RationalFn.from_poly(
-            sym_power(n, m).scale(CycScalar(Fraction(-1, m)) * I)
-        )
-    return out
 
 
 def sigma_ops(n: int):
@@ -576,24 +415,7 @@ def t_eigenvalue(n: int, l: int) -> CycScalar:
 
 def ext_mul(e1: GrassmannElem, e2: GrassmannElem) -> GrassmannElem:
     """Exterior product of algebra elements."""
-    out = GrassmannElem(e1.n)
-    for s1, c1 in e1.terms.items():
-        set1 = set(s1)
-        for s2, c2 in e2.terms.items():
-            if set1 & set(s2):
-                continue
-            inv = sum(1 for a in s1 for b in s2 if a > b)
-            c = c1 * c2
-            if inv % 2:
-                c = -c
-            key = tuple(sorted(s1 + s2))
-            prev = out.terms.get(key)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = c
-    return out
+    return e1._like(subset_product(e1.terms, e2.terms))
 
 
 def _phi(n: int, a: int) -> GrassmannElem:
@@ -688,7 +510,7 @@ def alpha_map(op: FermionOp) -> FermionOp:
     zmap = _alpha_zmap(n)
     words = []
     for (A, B), coeff in op.terms.items():
-        c2 = substitute_rf(coeff, zmap)
+        c2 = substitute(coeff, zmap)
         word = []
         scale = RationalFn.from_poly(LaurentPoly.one())
         # anti map: reverse the product, then map each generator
@@ -708,7 +530,7 @@ def beta_map(op: FermionOp) -> FermionOp:
     zmap = _beta_zmap(n)
     words = []
     for (A, B), coeff in op.terms.items():
-        c2 = substitute_rf(coeff, zmap)
+        c2 = substitute(coeff, zmap)
         word = []
         sign = 1
         for a in A:
@@ -721,15 +543,6 @@ def beta_map(op: FermionOp) -> FermionOp:
                 sign = -sign
         words.append((c2 if sign > 0 else -c2, tuple(word)))
     return FermionOp.from_words(n, words)
-
-
-def substitute_rf(c: RationalFn, zmap: dict) -> RationalFn:
-    out = substitute(c.num, zmap)
-    for f, m in c.den:
-        df = substitute(f, zmap)
-        for _ in range(m):
-            out = out / df
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +672,7 @@ def check_g_identity_double(n: int) -> bool:
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             lhs2 = lhs2 + _g_wedge(n, a).wedge(_g_wedge(n, b)).scaled(
-                coeff_C(n, a, b).scaled_cyc_num(4))
+                coeff_C(n, a, b).scale(4))
     kern2 = kernel_F2(n)
     rhs2 = WedgeElem(n, 2, {s: c for s, c in _kernel_subsets(kern2, 2).items()})
     return lhs2 == rhs2

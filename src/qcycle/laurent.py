@@ -562,6 +562,26 @@ class RationalFn:
     def __rtruediv__(self, other):
         return _ratfn(other) / self
 
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.reciprocal() ** (-k)
+        out = RationalFn.from_poly(LaurentPoly.one())
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def scale(self, c) -> "RationalFn":
+        """Multiply by a scalar, through the numerator alone."""
+        r = RationalFn.__new__(RationalFn)
+        r.num = self.num.scale(c)
+        r.den = self.den
+        return r
+
     def reciprocal(self) -> "RationalFn":
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero rational function")
@@ -855,22 +875,36 @@ def substitute_ratfn(c: "RationalFn", bindings: dict, _retried=False) -> "Ration
     return out
 
 
-# RationalFn needs integer powers
-def _ratfn_pow(self, k: int):
-    if k < 0:
-        return self.reciprocal() ** (-k)
-    out = RationalFn.from_poly(LaurentPoly.one())
-    base = self
-    while k:
-        if k & 1:
-            out = out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return out
+# ---------------------------------------------------------------------------
+# linear algebra over the function field
+# ---------------------------------------------------------------------------
 
 
-RationalFn.__pow__ = _ratfn_pow
+def gauss_jordan(aug, ncols: int) -> list:
+    """Reduce a RationalFn matrix in place to reduced row echelon form.
+
+    Pivots are sought in the first `ncols` columns only, so further columns
+    ride along as right-hand sides.  Each pivot is the first row at or below
+    the current one with a nonzero entry; its row is scaled to a leading 1
+    and the column is cleared in every other row.  Returns the pivot columns.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((k for k in range(r, len(aug)) if not aug[k][c].is_zero()), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = aug[r][c].reciprocal()
+        aug[r] = [x * inv if not x.is_zero() else x for x in aug[r]]
+        for k in range(len(aug)):
+            if k != r and not aug[k][c].is_zero():
+                f = aug[k][c]
+                aug[k] = [x - f * y if not y.is_zero() else x
+                          for x, y in zip(aug[k], aug[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 # ---------------------------------------------------------------------------

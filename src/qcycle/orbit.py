@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cyclotomic import CycScalar, I
-from .laurent import LaurentPoly, RationalFn, exact_div
+from .laurent import LaurentPoly, RationalFn, exact_div, gauss_jordan
 from .wedge import BiGrading, WedgeElem, bigrade
 from .action import GenMode, act_series, apply_mode, atilde
 from .cycles import InfCycle, map_tower
@@ -231,17 +231,6 @@ def _as_matrix(elems, n, l):
 _ZERO = RationalFn.from_poly(LaurentPoly.zero())
 
 
-def rank_ratfn(rows) -> int:
-    """Rank over the function field: clear denominators, eliminate fraction-free."""
-    cleared = []
-    for row in rows:
-        den = LaurentPoly.one()
-        for c in row:
-            den = den * c.den_poly()
-        cleared.append([(c * RationalFn.from_poly(den)).as_laurent() for c in row])
-    return bareiss_rank(cleared)
-
-
 def bareiss_rank(m) -> int:
     m = [list(r) for r in m]
     if not m:
@@ -280,23 +269,8 @@ def solve_ratfn(rows, rhs):
     # columns: unknowns (one per generator row); rows: coordinates
     aug = [[rows[i][j] for i in range(len(rows))] + [rhs[j]] for j in range(ncols)]
     nunk = len(rows)
-    pivots = []
-    r = 0
-    for c in range(nunk):
-        piv = next((k for k in range(r, len(aug)) if not aug[k][c].is_zero()), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c].reciprocal()
-        aug[r] = [x * inv if not x.is_zero() else x for x in aug[r]]
-        for k in range(len(aug)):
-            if k != r and not aug[k][c].is_zero():
-                f = aug[k][c]
-                aug[k] = [x - f * y if not y.is_zero() else x
-                          for x, y in zip(aug[k], aug[r])]
-        pivots.append(c)
-        r += 1
-    for k in range(r, len(aug)):
+    pivots = gauss_jordan(aug, nunk)
+    for k in range(len(pivots), len(aug)):
         if not aug[k][nunk].is_zero():
             return None
     sol = [_ZERO] * nunk

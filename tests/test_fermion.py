@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from qcycle.cyclotomic import I, i_power
 from qcycle.laurent import LaurentPoly, RationalFn, sym_elementary
@@ -12,6 +13,7 @@ from qcycle.fermion import (
     check_g_identities,
     coeff_A,
     cross_check,
+    ext_mul,
     g_basis,
     halfcurrent,
     iso_from_wedge,
@@ -20,7 +22,7 @@ from qcycle.fermion import (
     t_eigenvalue,
 )
 from qcycle.wedge import WedgeElem, kernel_F
-from qcycle.sampling import random_wedge
+from qcycle.sampling import random_laurent, random_wedge
 
 one = LaurentPoly.one()
 
@@ -45,6 +47,26 @@ def test_iso_round_trip():
             P = random_wedge(rng, n, l)
             back = iso_to_wedge(iso_from_wedge(P))
             assert back == P, (n, l)
+
+
+def _random_grassmann(rng, n, l):
+    subsets = [tuple(c) for c in combinations(range(1, n + 1), l)]
+    return GrassmannElem(n, {s: random_laurent(rng, n) for s in rng.sample(
+        subsets, rng.randint(1, len(subsets)))})
+
+
+def test_ext_mul_matches_wedge_through_iso():
+    # the psi side counts from 1 and the X side from 0; the shared signed
+    # subset product must agree with itself across the isomorphism
+    rng = random.Random(29)
+    for n in range(1, 5):
+        for la in range(0, n + 1):
+            for lb in range(0, n + 1):
+                a = _random_grassmann(rng, n, la)
+                b = _random_grassmann(rng, n, lb)
+                prod = ext_mul(a, b)
+                want = iso_to_wedge(a).wedge(iso_to_wedge(b))
+                assert iso_to_wedge(prod) == want, (n, la, lb)
 
 
 def test_normal_order_anticommutation():
@@ -131,7 +153,7 @@ def test_raising_equals_alpha_transport():
                 continue
             # T acts after psi*, so on the l-1 image
             scale = t_eigenvalue(n, l - 1) * (-I)
-            rhs = transported.scaled(t_inv).scaled_cyc(scale)
+            rhs = transported.scaled(t_inv).scaled(scale)
             lhs = halfcurrent("xplus", "zero", n, l)
             assert lhs == rhs, (n, l)
 
