@@ -25,6 +25,7 @@ from .laurent import (
     RationalFn,
     _perm_sign,
     exact_div,
+    negate_var,
     series_expand,
     series_expand_coeffs,
     substitute,
@@ -35,9 +36,7 @@ from .wedge import (
     Xvar,
     add_term,
     collect_skew,
-    kernel_F,
-    kernel_F2,
-    kernel_coeffs_X,
+    kernel_subsets,
     theta,
     theta_at,
 )
@@ -149,23 +148,8 @@ def _lowering_kernel_series(n: int, square: bool, point: str, order: int):
     cached = _LOWER_CACHE.get(key)
     if cached is not None:
         return cached
-    if square:
-        kern = kernel_F2(n)
-        split = kernel_coeffs_X(kern, ("X1", "X2"))
-        acc = {}
-        for (e1, e2), coeff in split.items():
-            if e1 == e2 and not coeff.is_zero():
-                raise AssertionError("divided kernel is not skew")
-            if e1 < e2:
-                # skewness pins the (e2, e1) bucket to the negative of this one
-                if split.get((e2, e1)) != -coeff:
-                    raise AssertionError("divided kernel is not skew")
-                acc[(e1, e2)] = coeff
-        l_ker = 2
-    else:
-        kern = kernel_F(n)
-        acc = {(e,): c for (e,), c in kernel_coeffs_X(kern, ("X",)).items()}
-        l_ker = 1
+    l_ker = 2 if square else 1
+    acc = kernel_subsets(n, l_ker)
     out = {}
     for subset, coeff in acc.items():
         for k, c in series_expand(coeff, "t", point, order).items():
@@ -190,7 +174,8 @@ def act_series(family: str, P: WedgeElem, order: int, point: str | None = None,
     `point` defaults to the natural side: the positive-mode series expand at
     zero, the nonpositive ones at infinity.  With expect_polynomial=True the
     xplus2 coefficients must reduce to Laurent polynomials (guaranteed for
-    weakly minimal input) and failure raises.
+    weakly minimal input) and failure raises.  The work is done at order at
+    least 3, which the kernel caches share, and trimmed to the request.
     """
     n, l = P.n, P.l
     if family not in FAMILIES or family == "t1":
@@ -199,56 +184,47 @@ def act_series(family: str, P: WedgeElem, order: int, point: str | None = None,
         point = {"xminus": "zero", "xminus2": "zero", "xplus": "zero",
                  "xplus2": "zero", "aplus": "zero", "aminus": "inf"}[family]
 
-    order = max(order, 3)  # cached work is shared across nearby orders
+    requested, order = order, max(order, 3)
 
     if family in ("xminus", "xminus2"):
         square = family == "xminus2"
+        l_out = l + (2 if square else 1)
         kern = _lowering_kernel_series(n, square, point, order)
-        coeffs = {k: elem.wedge(P) for k, elem in kern.items()}
-        prefactor = _prefactor(family, point, n)
-        series = TruncSeries(family, point, n, l, l + (2 if square else 1),
-                             order, _clean(coeffs), prefactor, True)
-
+        coeffs = _clean({k: elem.wedge(P) for k, elem in kern.items()})
     elif family == "xplus":
-        if l == 0:
-            series = TruncSeries(family, point, n, l, 0, order, {},
-                                 _prefactor(family, point, n), True)
-        else:
+        l_out = max(l - 1, 0)
+        coeffs = {}
+        if l:
             restricted = P.specialize_slot(l, LaurentPoly.var("t"))
             inv_theta = RationalFn(LaurentPoly.one(), [theta(n)])
             restricted = restricted.map_coeffs(lambda c: c * inv_theta)
             coeffs = _expand_elem(restricted, point, order)
-            series = TruncSeries(family, point, n, l, l - 1, order,
-                                 coeffs, _prefactor(family, point, n), True)
-
     elif family == "xplus2":
-        if l <= 1:
-            series = TruncSeries(family, point, n, l, max(l - 2, 0), order, {},
-                                 _prefactor(family, point, n), True)
-        else:
+        l_out = max(l - 2, 0)
+        coeffs = {}
+        if l > 1:
             coeffs = _combine_per_basis(family, P, point, order, _residue_pair_series)
             if point == "inf":
                 top = coeffs.get(-1)
-                assert top is None or top.is_zero(), "residue kernel must vanish at t^-1"
+                if top is not None and not top.is_zero():
+                    raise ArithmeticError("residue kernel must vanish at t^-1")
             if expect_polynomial:
                 for k, elem in coeffs.items():
                     if elem.coeffs_as_laurent() is None:
                         raise ArithmeticError(
                             "divided raising series left the Laurent lattice at t^%d "
                             "on weakly minimal input" % k)
-            series = TruncSeries(family, point, n, l, l - 2, order,
-                                 coeffs, _prefactor(family, point, n), True)
-
-    elif family in ("aplus", "aminus"):
+    else:  # aplus, aminus
+        l_out = l
         coeffs = _combine_per_basis(family, P, point, order, _a_series_basis)
-        series = TruncSeries(family, point, n, l, l, order, coeffs,
-                             CycScalar.one(), False)
-    else:  # pragma: no cover
-        raise AssertionError(family)
 
-    for k, elem in series.coeffs.items():
-        assert elem.l == series.l_out
-    return series
+    coeffs = {k: elem for k, elem in coeffs.items() if abs(k) <= requested}
+    for k, elem in coeffs.items():
+        if elem.l != l_out:
+            raise ArithmeticError("%s coefficient at t^%d has degree %d, expected %d"
+                                  % (family, k, elem.l, l_out))
+    return TruncSeries(family, point, n, l, l_out, requested, coeffs,
+                       _prefactor(family, point, n), family not in ("aplus", "aminus"))
 
 
 def _clean(coeffs):
@@ -328,7 +304,7 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
     t = LaurentPoly.var("t")
     one = LaurentPoly.one()
     th_t = theta(n)
-    th_m = _flip_t(th_t)
+    th_m = negate_var(th_t, "t")
     poly = P.to_poly()
     num, den = poly.num, poly.den
 
@@ -354,16 +330,16 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
             quot = t * quot
         if family == "aminus":
             plus_num = plus_num - quot
-            minus_num = minus_num - _flip_t(quot)
+            minus_num = minus_num - negate_var(quot, "t")
         else:
             plus_num = plus_num + quot
-            minus_num = minus_num + _flip_t(quot)
+            minus_num = minus_num + negate_var(quot, "t")
 
     per_power = {}
     for nump, th in ((plus_num, th_t), (minus_num, th_m)):
         if nump.is_zero():
             continue
-        part = RationalFn._raw(nump, list(den) + [(th, 1)])
+        part = RationalFn(nump, list(den) + [(th, 1)])
         for k, c in series_expand_coeffs(part, "t", point, order).items():
             if abs(k) <= order:
                 add_term(per_power, k, c)
@@ -373,10 +349,8 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
         elem = collect_skew(c, n, l)
         if not elem.is_zero():
             coeffs[k] = elem
-    if family == "aplus":
-        assert all(k >= 1 for k in coeffs), "a_plus series must start at t^1"
-    else:
-        assert all(k <= -1 for k in coeffs), "a_minus series must end at t^-1"
+    if not all(k >= 1 if family == "aplus" else k <= -1 for k in coeffs):
+        raise ArithmeticError("%s series has a mode on the wrong side of t^0" % family)
     return coeffs
 
 
@@ -405,45 +379,26 @@ def _check_skew_poly(num: LaurentPoly, l: int):
             raise AssertionError("a-series output failed to be skew symmetric")
 
 
-def _flip_t(p: LaurentPoly) -> LaurentPoly:
-    out = {}
-    for mono, coeff in p.terms.items():
-        e = dict(mono).get("t", 0)
-        out[mono] = coeff if e % 2 == 0 else -coeff
-    return LaurentPoly(out)
-
-
 # ---------------------------------------------------------------------------
 # single modes and words
 # ---------------------------------------------------------------------------
 
 
-def apply_mode(g: GenMode, P: WedgeElem, expect_polynomial: bool = False) -> WedgeElem:
+def apply_mode(g: GenMode, P: WedgeElem) -> WedgeElem:
     """x_k^, a-mode, divided k = 0 mode, or t1 scalar applied to P."""
-    n, l = P.n, P.l
     if g.family == "t1":
-        return P.scaled(i_power(g.k * (n - 2 * l)))
-    if g.family == "aplus" or g.family == "aminus":
-        point = "zero" if g.k > 0 else "inf"
-        series = act_series(g.family, P, abs(g.k), point)
-        return mode_extract(series, g.k)
-    if g.family == "xminus":
-        point = "zero" if g.k >= 1 else "inf"
-    elif g.family == "xplus":
-        point = "zero" if g.k >= 0 else "inf"
-    elif g.family == "xminus2":
-        point = "inf"   # k = 0 lives in the nonpositive half
-    else:
-        point = "zero"  # xplus2, k = 0 lives in the nonnegative half
-    series = act_series(g.family, P, abs(g.k), point, expect_polynomial=expect_polynomial)
-    return mode_extract(series, g.k)
+        return P.scaled(i_power(g.k * P.weight()))
+    # the one expansion point whose stored series holds mode k
+    point = next(pt for (fam, pt), in_range in _MODE_RANGES.items()
+                 if fam == g.family and in_range(g.k))
+    return mode_extract(act_series(g.family, P, abs(g.k), point), g.k)
 
 
-def apply_word(word, P: WedgeElem, expect_polynomial: bool = False) -> WedgeElem:
+def apply_word(word, P: WedgeElem) -> WedgeElem:
     """Apply modes right to left, like operator composition."""
     out = P
     for g in reversed(list(word)):
-        out = apply_mode(g, out, expect_polynomial=expect_polynomial)
+        out = apply_mode(g, out)
     return out
 
 

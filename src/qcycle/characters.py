@@ -82,10 +82,6 @@ class QZSeries:
     def coeff(self, q4: int, z: int) -> Fraction:
         return self.coeffs.get((q4, z), Fraction(0))
 
-    def q_support(self):
-        return (min((q for q, _ in self.coeffs), default=0),
-                max((q for q, _ in self.coeffs), default=0))
-
     def __eq__(self, other):
         return isinstance(other, QZSeries) and self.coeffs == other.coeffs
 
@@ -207,11 +203,13 @@ def demazure_char(i: int, L2: int, qmax: int | None = None) -> QZSeries:
     return out
 
 
-def stabilization_report(i: int, q_levels: int = 3, z_window: int = 2) -> dict:
+def stabilization_report(i: int) -> dict:
     """Do the finitizations converge to the full character coefficientwise?
 
-    Checks both readings: with and without the partition-series factor.
+    Checks both readings: with and without the partition-series factor, on
+    q-levels up to 3 and z-degrees up to 2.
     """
+    q_levels, z_window = 3, 2
     full = level1_char(i, q_levels + z_window * z_window, z_window)
     L2 = 2 * (q_levels + z_window + 3) + (i % 2)
     fin = demazure_char(i, L2)

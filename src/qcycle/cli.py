@@ -145,11 +145,11 @@ def cmd_tower(args):
 
 
 def cmd_tower_act(args):
-    from .cycles import InfCycle, LinkViolation, act_on_cycle
+    from .cycles import LinkViolation, act_on_cycle
 
-    obj = _read_json(args.infile)
-    cyc = serialize.tower_from_json(obj)
-    if not isinstance(cyc, InfCycle):
+    try:
+        cyc = serialize.tower_from_json(_read_json(args.infile))
+    except LinkViolation:
         raise CliError("input tower is not linked", code=1)
     word = parse_word(args.word)
     try:

@@ -20,6 +20,7 @@ from .laurent import (
     NonDivisibleError,
     RationalFn,
     exact_div,
+    negate_var,
     substitute,
     substitute_ratfn,
     swap_vars,
@@ -50,10 +51,10 @@ class LinkViolation(Exception):
         self.residual = residual
 
 
-def _subst_z_pair(P: WedgeElem, n: int) -> WedgeElem:
-    """Send the last two z variables of an (n+2)-variable element to z, -z."""
+def _subst_z_tail(P: WedgeElem) -> WedgeElem:
+    """Send the last two z variables of P to z, -z."""
     z = LaurentPoly.var("z")
-    bindings = {zvar(n + 1): z, zvar(n + 2): -z}
+    bindings = {zvar(P.n - 1): z, zvar(P.n): -z}
     return P.map_coeffs(lambda c: substitute_ratfn(c, bindings))
 
 
@@ -64,7 +65,7 @@ def link_residual(P_low: WedgeElem, P_high: WedgeElem) -> WedgeElem:
         raise ValueError("link shapes must be (n, l) and (n+2, l+1)")
     z = LaurentPoly.var("z")
     zinv = LaurentPoly.var("z", -1)
-    lhs = _subst_z_pair(P_high.specialize_slot(l + 1, zinv), n)
+    lhs = _subst_z_tail(P_high.specialize_slot(l + 1, zinv))
     # rhs: z^(-n-1) prod_a (1 - X_a^2 z^2) P_low, rebuilt on the larger basis
     rhs = multiply_slot_square_product(P_low, z * z)
     rhs = rhs.scaled(LaurentPoly.var("z", -n - 1))
@@ -85,12 +86,6 @@ def is_link(P_low: WedgeElem, P_high: WedgeElem) -> bool:
 # ---------------------------------------------------------------------------
 # minimality
 # ---------------------------------------------------------------------------
-
-
-def _subst_z_tail(P: WedgeElem) -> WedgeElem:
-    z = LaurentPoly.var("z")
-    bindings = {zvar(P.n - 1): z, zvar(P.n): -z}
-    return P.map_coeffs(lambda c: substitute_ratfn(c, bindings))
 
 
 def is_minimal(P: WedgeElem):
@@ -159,20 +154,12 @@ def extract_p_star(P_low: WedgeElem, P_high: WedgeElem) -> SlotInterpolant:
     one = LaurentPoly.one()
 
     low_poly = P_low.to_poly()
-    high = _subst_z_pair(P_high, n).to_poly()
+    high = _subst_z_tail(P_high).to_poly()
     if low_poly.den or high.den:
         raise ValueError("interpolant extraction expects polynomial coefficients")
     low_num, high_num = low_poly.num, high.num
 
-    h_num = low_num * LaurentPoly.var(Xvar(l + 1), n + 1)
-    for a in range(1, l + 1):
-        h_num = h_num * (one - LaurentPoly.var(Xvar(a), 2) * zsq)
-    tower_num = LaurentPoly.zero()
-    for j in range(1, l + 2):
-        term = _rename_to_last(h_num, j, l + 1)
-        if (l + 1 - j) % 2:
-            term = -term
-        tower_num = tower_num + term
+    tower_num = _assemble_tower(low_num * LaurentPoly.var(Xvar(l + 1), n + 1), l, zsq)
 
     q_num = high_num - tower_num
     for a in range(1, l + 2):
@@ -202,40 +189,34 @@ def _validate_interpolant(s: SlotInterpolant, P_low: WedgeElem, high: RationalFn
     for j in range(1, n):
         if swap_vars(num, zvar(j), zvar(j + 1)) != num:
             raise AssertionError("interpolant is not z-symmetric")
-    if _flip_z(num) != num:
+    if negate_var(num, "z") != num:
         raise AssertionError("interpolant is not even in z")
     # substitution of 1/z into the extra slot recovers the low component
-    zinv = LaurentPoly.var("z", -1)
-    low_back = substitute(num, {Xvar(l + 1): zinv})
-    for f, m in s.poly.den:
-        for _ in range(m):
-            low_back = low_back / f
+    low_back = substitute(num, {Xvar(l + 1): LaurentPoly.var("z", -1)})
     target = P_low.to_poly() * RationalFn.from_poly(LaurentPoly.var("z", -n - 1))
     if low_back != target:
         raise AssertionError("interpolant does not restrict to the low component")
     # skew assembly recovers the specialized high component
-    one = LaurentPoly.one()
     z = LaurentPoly.var("z")
-    h_num = num
-    for a in range(1, l + 1):
-        h_num = h_num * (one - LaurentPoly.var(Xvar(a), 2) * z * z)
-    back_num = LaurentPoly.zero()
-    for j in range(1, l + 2):
-        term = _rename_to_last(h_num, j, l + 1)
-        if (l + 1 - j) % 2:
-            term = -term
-        back_num = back_num + term
-    back = RationalFn._raw(back_num, s.poly.den)
+    back = RationalFn.from_poly(_assemble_tower(num, l, z * z))
     if back != high:
         raise AssertionError("interpolant does not assemble to the high component")
 
 
-def _flip_z(p: LaurentPoly) -> LaurentPoly:
-    out = {}
-    for mono, coeff in p.terms.items():
-        e = dict(mono).get("z", 0)
-        out[mono] = coeff if e % 2 == 0 else -coeff
-    return LaurentPoly(out)
+def _assemble_tower(num: LaurentPoly, l: int, zsq: LaurentPoly) -> LaurentPoly:
+    """Multiply by prod_{a<=l} (1 - X_a^2 zsq), then skew-assemble the last slot.
+
+    The assembly is the alternating sum over moving slot l+1 into each of
+    the l+1 positions.
+    """
+    one = LaurentPoly.one()
+    for a in range(1, l + 1):
+        num = num * (one - LaurentPoly.var(Xvar(a), 2) * zsq)
+    out = LaurentPoly.zero()
+    for j in range(1, l + 2):
+        term = _rename_to_last(num, j, l + 1)
+        out = out + (-term if (l + 1 - j) % 2 else term)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +274,6 @@ class InfCycle:
             P = self.components[n]
             if not P.is_zero():
                 return deg_infcycle(P)
-        return None
-
-    def minimality_order(self):
-        for n in self.indices():
-            if not self.components[n].is_zero():
-                return n
         return None
 
     def __eq__(self, other):
@@ -369,7 +344,9 @@ def map_tower(cyc: InfCycle, weight_shift: int, fn, verify: bool = True) -> InfC
             comps[n] = WedgeElem(n, l_out)
         else:
             comps[n] = fn(src)
-            assert comps[n].l == l_out or comps[n].is_zero()
+            if comps[n].l != l_out and not comps[n].is_zero():
+                raise ValueError("operator gave degree %d at n=%d, expected %d"
+                                 % (comps[n].l, n, l_out))
     return InfCycle(m2, comps, verify=verify)
 
 

@@ -126,7 +126,8 @@ class CycScalar:
         cp = self.conj_product()
         norm = self * cp
         # norm lies in Q: only the constant component survives
-        assert norm.c[1] == norm.c[2] == norm.c[3] == 0
+        if norm.c[1] or norm.c[2] or norm.c[3]:
+            raise ArithmeticError("norm of %s is not rational" % self)
         n0 = norm.c[0]
         c = cp.c
         return CycScalar._make(c[0] / n0, c[1] / n0, c[2] / n0, c[3] / n0)
@@ -157,14 +158,6 @@ class CycScalar:
 
     def is_zero(self) -> bool:
         return self.c == _ZERO4
-
-    def is_rational(self) -> bool:
-        return self.c[1] == self.c[2] == self.c[3] == 0
-
-    def rational_part(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("scalar is not rational: %s" % self)
-        return self.c[0]
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -15,13 +15,14 @@ from .cyclotomic import CycScalar, I, i_power
 from .laurent import (
     LaurentPoly,
     RationalFn,
+    common_denominator,
     gauss_jordan,
     series_expand_coeffs,
-    substitute,
+    substitute_ratfn,
     sym_power,
     zvar,
 )
-from .wedge import SubsetTerms, WedgeElem, _coeff, add_term, subset_product
+from .wedge import SubsetTerms, WedgeElem, _coeff, add_term, kernel_subsets, subset_product
 
 
 class GrassmannElem(SubsetTerms):
@@ -289,50 +290,45 @@ def _invert_matrix(m):
 # ---------------------------------------------------------------------------
 
 
+def _zt(j: int) -> LaurentPoly:
+    return LaurentPoly.var(zvar(j)) * LaurentPoly.var("t")
+
+
+def _t_ratio(num: LaurentPoly, den: list, js, sign: int = 1) -> RationalFn:
+    """num / prod(den) times prod_{j in js} (1 + sign z_j t)/(1 - sign z_j t)."""
+    one = LaurentPoly.one()
+    for j in js:
+        up, down = one + _zt(j), one - _zt(j)
+        if sign < 0:
+            up, down = down, up
+        num = num * up
+        den.append(down)
+    return RationalFn(num, den)
+
+
 def coeff_A(n: int, a: int) -> RationalFn:
     """z_a t / (1 - z_a t) * prod_{j>a} (1 + z_j t)/(1 - z_j t)."""
-    t = LaurentPoly.var("t")
-    one = LaurentPoly.one()
-    num = LaurentPoly.var(zvar(a)) * t
-    den = [one - LaurentPoly.var(zvar(a)) * t]
-    for j in range(a + 1, n + 1):
-        num = num * (one + LaurentPoly.var(zvar(j)) * t)
-        den.append(one - LaurentPoly.var(zvar(j)) * t)
-    return RationalFn(num, den)
+    return _t_ratio(_zt(a), [LaurentPoly.one() - _zt(a)], range(a + 1, n + 1))
 
 
 def coeff_C(n: int, a: int, b: int) -> RationalFn:
+    """z_a z_b t^2 / ((1 - z_a t)(1 - z_b t)) * prod_{a<j<b} (1 + z_j t)/(1 - z_j t)."""
     t = LaurentPoly.var("t")
     one = LaurentPoly.one()
     num = LaurentPoly.var(zvar(a)) * LaurentPoly.var(zvar(b)) * t * t
-    den = [one - LaurentPoly.var(zvar(a)) * t, one - LaurentPoly.var(zvar(b)) * t]
-    for j in range(a + 1, b):
-        num = num * (one + LaurentPoly.var(zvar(j)) * t)
-        den.append(one - LaurentPoly.var(zvar(j)) * t)
-    return RationalFn(num, den)
+    return _t_ratio(num, [one - _zt(a), one - _zt(b)], range(a + 1, b))
 
 
 def _coeff_raising(n: int, a: int) -> RationalFn:
     """1/(1 - z_a t) * prod_{j<a} (1 + z_j t)/(1 - z_j t)."""
-    t = LaurentPoly.var("t")
     one = LaurentPoly.one()
-    num = one
-    den = [one - LaurentPoly.var(zvar(a)) * t]
-    for j in range(1, a):
-        num = num * (one + LaurentPoly.var(zvar(j)) * t)
-        den.append(one - LaurentPoly.var(zvar(j)) * t)
-    return RationalFn(num, den)
+    return _t_ratio(one, [one - _zt(a)], range(1, a))
 
 
 def _coeff_raising_pair(n: int, a: int, b: int) -> RationalFn:
-    t = LaurentPoly.var("t")
+    """1/((1 - z_a t)(1 - z_b t)) * prod_{a<j<b} (1 + z_j t)/(1 - z_j t)."""
     one = LaurentPoly.one()
-    num = one
-    den = [one - LaurentPoly.var(zvar(a)) * t, one - LaurentPoly.var(zvar(b)) * t]
-    for j in range(a + 1, b):
-        num = num * (one + LaurentPoly.var(zvar(j)) * t)
-        den.append(one - LaurentPoly.var(zvar(j)) * t)
-    return RationalFn(num, den)
+    return _t_ratio(one, [one - _zt(a), one - _zt(b)], range(a + 1, b))
 
 
 def halfcurrent(family: str, point: str, n: int, l: int | None = None) -> FermionOp:
@@ -387,11 +383,8 @@ def b2_plus_op(n: int) -> FermionOp:
         for b in range(a + 1, n + 1):
             za = LaurentPoly.var(zvar(a))
             num = LaurentPoly.const(-4) * za * t
-            den = [one + za * t, one + LaurentPoly.var(zvar(b)) * t]
-            for j in range(a + 1, b):
-                num = num * (one - LaurentPoly.var(zvar(j)) * t)
-                den.append(one + LaurentPoly.var(zvar(j)) * t)
-            words.append((RationalFn(num, den), (("p", a), ("s", b))))
+            frac = _t_ratio(num, [one + za * t, one + _zt(b)], range(a + 1, b), sign=-1)
+            words.append((frac, (("p", a), ("s", b))))
     return FermionOp.from_words(n, words)
 
 
@@ -510,7 +503,7 @@ def alpha_map(op: FermionOp) -> FermionOp:
     zmap = _alpha_zmap(n)
     words = []
     for (A, B), coeff in op.terms.items():
-        c2 = substitute(coeff, zmap)
+        c2 = substitute_ratfn(coeff, zmap)
         word = []
         scale = RationalFn.from_poly(LaurentPoly.one())
         # anti map: reverse the product, then map each generator
@@ -530,7 +523,7 @@ def beta_map(op: FermionOp) -> FermionOp:
     zmap = _beta_zmap(n)
     words = []
     for (A, B), coeff in op.terms.items():
-        c2 = substitute(coeff, zmap)
+        c2 = substitute_ratfn(coeff, zmap)
         word = []
         sign = 1
         for a in A:
@@ -627,16 +620,9 @@ def _clear_denominators(P, E):
     scaling leaves every proportionality comparison unchanged while keeping
     all coefficients polynomial.
     """
-    from .laurent import _factor_lcm
-
-    lcm = []
-    for c in E.terms.values():
-        lcm = _factor_lcm(lcm, c.den)
-    if not lcm:
+    if all(c.is_poly() for c in E.terms.values()):
         return P, E
-    D = LaurentPoly.one()
-    for f, m in lcm:
-        D = D * f ** m
+    D = common_denominator(E.terms.values())
     return P.scaled(D), E.scaled(D)
 
 
@@ -653,42 +639,21 @@ def _diagonal_even_op(family: str, n: int) -> FermionOp:
 
 def check_g_identity_single(n: int) -> bool:
     """sum_a A_a(t) G_a(X) equals the single lowering kernel, exactly."""
-    from .wedge import kernel_F
-
     lhs = WedgeElem(n, 1)
     for a in range(1, n + 1):
         lhs = lhs + _g_wedge(n, a).scaled(coeff_A(n, a))
-    kern = kernel_F(n)
-    rhs = WedgeElem(n, 1, {(s,): c for (s,), c in
-                           _kernel_subsets(kern, 1).items()})
-    return lhs == rhs
+    return lhs == WedgeElem(n, 1, kernel_subsets(n, 1))
 
 
 def check_g_identity_double(n: int) -> bool:
     """4 sum_{a<b} C_ab(t) G_a ^ G_b equals the divided kernel, exactly."""
-    from .wedge import kernel_F2
-
     lhs2 = WedgeElem(n, 2)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             lhs2 = lhs2 + _g_wedge(n, a).wedge(_g_wedge(n, b)).scaled(
                 coeff_C(n, a, b).scale(4))
-    kern2 = kernel_F2(n)
-    rhs2 = WedgeElem(n, 2, {s: c for s, c in _kernel_subsets(kern2, 2).items()})
-    return lhs2 == rhs2
+    return lhs2 == WedgeElem(n, 2, kernel_subsets(n, 2))
 
 
 def check_g_identities(n: int) -> bool:
     return check_g_identity_single(n) and check_g_identity_double(n)
-
-
-def _kernel_subsets(kern: RationalFn, l: int) -> dict:
-    from .wedge import kernel_coeffs_X
-
-    if l == 1:
-        return {(e,): c for (e,), c in kernel_coeffs_X(kern, ("X",)).items()}
-    out = {}
-    for (e1, e2), c in kernel_coeffs_X(kern, ("X1", "X2")).items():
-        if e1 < e2:
-            out[(e1, e2)] = c
-    return out

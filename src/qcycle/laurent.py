@@ -17,7 +17,8 @@ never depends on reduction succeeding.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+import operator
+from itertools import chain, combinations, permutations
 
 from .cyclotomic import CycScalar
 
@@ -469,12 +470,6 @@ class RationalFn:
         r.den = ()
         return r
 
-    @classmethod
-    def _raw(cls, num, den) -> "RationalFn":
-        r = cls.__new__(cls)
-        r.num, r.den = _normalize(num, list(den))
-        return r
-
     # -- basic queries --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -485,18 +480,13 @@ class RationalFn:
 
     def as_laurent(self) -> LaurentPoly:
         """The underlying Laurent polynomial; raises if reduction fails."""
-        if not self.den:
-            return self.num
-        num, den = _normalize(self.num, list(self.den))
-        if den:
+        r = self.reduced()
+        if r.den:
             raise ValueError("rational function is not a Laurent polynomial: %s" % self)
-        return num
+        return r.num
 
     def den_poly(self) -> LaurentPoly:
-        out = LaurentPoly.one()
-        for f, m in self.den:
-            out = out * f ** m
-        return out
+        return _factor_product(self.den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -512,10 +502,10 @@ class RationalFn:
             r.num = num
             r.den = self.den if not num.is_zero() else ()
             return r
-        lcm = _factor_lcm(self.den, other.den)
+        lcm = _factor_merge(self.den, other.den, max)
         a = self.num * _factor_quot(lcm, self.den)
         b = other.num * _factor_quot(lcm, other.den)
-        return RationalFn._raw(a + b, lcm)
+        return RationalFn(a + b, lcm)
 
     __radd__ = __add__
 
@@ -548,7 +538,7 @@ class RationalFn:
         if num.is_zero():
             r.num, r.den = num, ()
         else:
-            r.num, r.den = num, tuple(_factor_merge(d1, d2))
+            r.num, r.den = num, tuple(_factor_merge(d1, d2, operator.add))
         return r
 
     __rmul__ = __mul__
@@ -586,15 +576,14 @@ class RationalFn:
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero rational function")
         out = RationalFn.from_poly(self.den_poly())
-        return RationalFn._raw(out.num, [(self.num, 1)])
+        return RationalFn(out.num, [(self.num, 1)])
 
     def reduced(self) -> "RationalFn":
         """Re-attempt every factor cancellation (lazy products skip them)."""
         if not self.den:
             return self
-        num, den = _normalize(self.num, list(self.den))
         r = RationalFn.__new__(RationalFn)
-        r.num, r.den = num, den
+        r.num, r.den = _normalize(self.num, self.den)
         return r
 
     def __eq__(self, other):
@@ -645,31 +634,8 @@ def _normalize(num, factors):
             f = f.scale(lead_c.inverse())
             num = num.scale((lead_c ** m).inverse())
         clean.append((f, m))
-    merged = {}
-    order = []
-    for f, m in clean:
-        key = _factor_key(f)
-        if key in merged:
-            merged[key] = (f, merged[key][1] + m)
-        else:
-            merged[key] = (f, m)
-            order.append(key)
-    out = []
-    for key in sorted(order):
-        f, m = merged[key]
-        while m > 0:
-            if not _could_divide(num, f):
-                break
-            try:
-                num = exact_div(num, f)
-            except NonDivisibleError:
-                break
-            m -= 1
-        if m:
-            out.append((f, m))
-        if num.is_zero():
-            return num, ()
-    return num, tuple(out)
+    num, kept = _cancel_factors(num, _factor_merge(clean, (), operator.add))
+    return num, tuple(kept)
 
 
 def _cancel_factors(num: LaurentPoly, factors):
@@ -716,28 +682,36 @@ def _factor_key(f: LaurentPoly):
     return tuple(sorted((m, c.c) for m, c in f.terms.items()))
 
 
-def _factor_lcm(d1, d2):
+def _factor_merge(d1, d2, combine):
+    """One factor list from two, equal factors' multiplicities combined.
+
+    `combine` is max for the least common multiple and operator.add for the
+    product; the result is sorted by factor key.
+    """
     keyed = {}
-    for f, m in d1:
-        keyed[_factor_key(f)] = (f, m)
-    for f, m in d2:
+    for f, m in chain(d1, d2):
         k = _factor_key(f)
         if k in keyed:
-            keyed[k] = (f, max(keyed[k][1], m))
+            keyed[k] = (f, combine(keyed[k][1], m))
         else:
             keyed[k] = (f, m)
     return [keyed[k] for k in sorted(keyed)]
 
 
-def _factor_merge(d1, d2):
-    keyed = {}
-    for f, m in list(d1) + list(d2):
-        k = _factor_key(f)
-        if k in keyed:
-            keyed[k] = (f, keyed[k][1] + m)
-        else:
-            keyed[k] = (f, m)
-    return [keyed[k] for k in sorted(keyed)]
+def _factor_product(factors) -> LaurentPoly:
+    """prod f^m over a factor list."""
+    out = LaurentPoly.one()
+    for f, m in factors:
+        out = out * f ** m
+    return out
+
+
+def common_denominator(fns) -> LaurentPoly:
+    """The least common multiple of the denominators of the RationalFn `fns`."""
+    lcm = []
+    for r in fns:
+        lcm = _factor_merge(lcm, r.den, max)
+    return _factor_product(lcm)
 
 
 def _factor_quot(lcm, den):
@@ -757,22 +731,15 @@ def _factor_quot(lcm, den):
 
 
 def substitute(p, bindings: dict) -> RationalFn:
-    """Substitute variables by polynomials or rational functions, exactly.
+    """Substitute variables in a polynomial by polynomials or rational functions.
 
     Monomial (unit) bindings keep Laurent exponents exact.  A general binding
     appearing with negative exponents produces a RationalFn.  Binding zero to
     a variable that occurs with a negative exponent raises ZeroDivisionError.
+    A RationalFn goes through substitute_ratfn instead.
     """
     if isinstance(p, RationalFn):
-        num = substitute(p.num, bindings)
-        out = num
-        for f, m in p.den:
-            df = substitute(f, bindings)
-            if df.is_zero():
-                raise ZeroDivisionError("denominator vanished under substitution")
-            for _ in range(m):
-                out = out / df
-        return out
+        raise TypeError("substitute takes a polynomial; use substitute_ratfn")
     binds = {}
     for name, val in bindings.items():
         binds[name] = val if isinstance(val, (LaurentPoly, RationalFn)) else _poly(val)
@@ -835,7 +802,7 @@ def substitute(p, bindings: dict) -> RationalFn:
                 if unit is not None or e >= 0:
                     term = term * RationalFn.from_poly(val ** e)
                 else:
-                    term = term * RationalFn._raw(LaurentPoly.one(), [(val, -e)])
+                    term = term * RationalFn(LaurentPoly.one(), [(val, -e)])
             else:
                 term = term * (val ** e if e >= 0 else (val.reciprocal()) ** (-e))
         else:
@@ -921,9 +888,9 @@ def series_expand_coeffs(f, var: str, point: str, order: int) -> dict:
     keep, expandable = [], []
     for fac, m in f.den:
         (keep if fac.degree(var) == 0 and fac.valuation(var) == 0 else expandable).append((fac, m))
-    inner = RationalFn._raw(f.num, expandable) if expandable else RationalFn.from_poly(f.num)
+    inner = RationalFn(f.num, expandable) if expandable else RationalFn.from_poly(f.num)
     coeffs = series_expand(inner, var, point, order)
-    return {k: RationalFn._raw(c, keep) for k, c in coeffs.items()}
+    return {k: RationalFn(c, keep) for k, c in coeffs.items()}
 
 
 def series_expand(f, var: str, point: str, order: int) -> dict:
@@ -938,7 +905,7 @@ def series_expand(f, var: str, point: str, order: int) -> dict:
         raise ValueError("expansion point must be 'zero' or 'inf'")
     f = _ratfn(f)
     if point == "inf":
-        flipped = RationalFn._raw(_flip_var(f.num, var), [(_flip_var(p, var), m) for p, m in f.den])
+        flipped = RationalFn(_flip_var(f.num, var), [(_flip_var(p, var), m) for p, m in f.den])
         coeffs = series_expand(flipped, var, "zero", order)
         return {-k: v for k, v in coeffs.items()}
     num, den = f.num, f.den_poly()
@@ -975,6 +942,15 @@ def _flip_var(p: LaurentPoly, var: str) -> LaurentPoly:
         if var in d:
             d[var] = -d[var]
         out[tuple(sorted(d.items()))] = coeff
+    return LaurentPoly(out)
+
+
+def negate_var(p: LaurentPoly, var: str) -> LaurentPoly:
+    """p with var replaced by -var."""
+    out = {}
+    for mono, coeff in p.terms.items():
+        e = dict(mono).get(var, 0)
+        out[mono] = coeff if e % 2 == 0 else -coeff
     return LaurentPoly(out)
 
 
@@ -1035,7 +1011,7 @@ def schur(n: int, partition) -> LaurentPoly:
         return LaurentPoly.zero()
     lam = lam + [0] * (n - len(lam))
     powers = [lam[j] + n - 1 - j for j in range(n)]
-    out = _monomial_det(n, powers)
+    out = monomial_det([zvar(i) for i in range(1, n + 1)], powers)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             out = exact_div(out, LaurentPoly.var(zvar(i)) - LaurentPoly.var(zvar(j)))
@@ -1046,22 +1022,12 @@ def schur_frobenius(n: int, alpha, beta) -> LaurentPoly:
     return schur(n, frobenius_to_partition(alpha, beta))
 
 
-def _monomial_det(n: int, powers) -> LaurentPoly:
-    """det(z_i ^ powers[j]) expanded over permutations (entries are monomials)."""
+def monomial_det(names, powers) -> LaurentPoly:
+    """det(names[b] ** powers[a]) expanded over permutations."""
     out = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        mono = {}
-        for i, j in enumerate(perm):
-            e = powers[j]
-            if e:
-                mono[zvar(i + 1)] = mono.get(zvar(i + 1), 0) + e
-        key = tuple(sorted((k, v) for k, v in mono.items() if v))
-        c = out.get(key, CycScalar.zero()) + CycScalar(sign)
-        if c.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c
+    for perm in permutations(range(len(powers))):
+        mono = tuple(sorted((names[perm[a]], e) for a, e in enumerate(powers) if e))
+        out[mono] = out.get(mono, 0) + _perm_sign(perm)
     return LaurentPoly(out)
 
 

@@ -147,16 +147,16 @@ class OrbitResult:
         self.stable = stable      # False marks the dims as lower bounds only
 
 
-def generate_W(N: int, D: int, K: int | None = None, max_iterations: int = 60) -> OrbitResult:
+def generate_W(N: int, D: int) -> OrbitResult:
     """Close the orbit of the unit under the generator list, up to deg0 <= D.
 
     Every generator raises deg0 by its mode index, so discarding components
     above the cutoff loses nothing below it; the closure stabilizes because
-    each bigraded component is finite dimensional.
+    each bigraded component is finite dimensional.  The generator list is
+    default_generators(D); a frontier left after 60 rounds marks the result
+    unstable.
     """
-    if K is None:
-        K = D
-    gens = default_generators(K)
+    gens = default_generators(D)
     unit = WedgeElem.unit(N)
     spans = {}
     vectors = []
@@ -178,7 +178,7 @@ def generate_W(N: int, D: int, K: int | None = None, max_iterations: int = 60) -
     insert(unit, ())
     frontier = [(unit, ())]
     iterations = 0
-    while frontier and iterations < max_iterations:
+    while frontier and iterations < 60:
         iterations += 1
         new_frontier = []
         for P, word in frontier:
@@ -319,24 +319,25 @@ def extremal_tower_word(N: int):
     return 1, word, CycScalar.one()
 
 
-def verify_grW_iso(N: int, D: int, window_pad: int = 2) -> dict:
+def verify_grW_iso(N: int, D: int) -> dict:
     """Lift every minimal orbit vector to a linked tower ending on it.
 
     For each minimal P in the measured orbit with its generating word g,
     the tower g . 1_N (with 1_N itself produced from the parity bottom by the
     extremal raising word) must reproduce P in its length-N component and
-    vanish below; links are re-verified along the way.
+    vanish below; links are re-verified along the way.  Towers run up to
+    n = N + 2.
     """
     from .cycles import distinguished_cycle, is_minimal
 
     report = {"N": N, "D": D, "checked": 0, "lifted": 0, "failures": []}
     i0, word, sign = extremal_tower_word(N)
-    base = distinguished_cycle(i0, N + window_pad)
+    base = distinguished_cycle(i0, N + 2)
     tower = base
     for g in reversed(word):
         tower = act_tower_generator(g, tower)
     tower = tower.scaled(sign)
-    expect = distinguished_cycle(N, N + window_pad)
+    expect = distinguished_cycle(N, N + 2)
     if not (tower - expect).is_zero():
         report["failures"].append("extremal word does not rebuild the unit tower")
         return report

@@ -42,11 +42,11 @@ def random_symmetric(rng: random.Random, n: int, span=(-1, 2)) -> LaurentPoly:
     return p.scale(CycScalar(c))
 
 
-def random_wedge(rng: random.Random, n: int, l: int, symmetric=False, nterms=2) -> WedgeElem:
-    """Sparse random element of the (n, l) wedge space."""
+def random_wedge(rng: random.Random, n: int, l: int, symmetric=False) -> WedgeElem:
+    """Sparse random element of the (n, l) wedge space: two random terms."""
     out = WedgeElem(n, l)
     subsets = [tuple(c) for c in combinations(range(n), l)]
-    for _ in range(nterms):
+    for _ in range(2):
         s = rng.choice(subsets)
         c = random_symmetric(rng, n) if symmetric else random_laurent(rng, n)
         if c.is_zero():

@@ -100,15 +100,10 @@ def infcycle_to_json(cyc: InfCycle) -> dict:
     return tower_to_json(cyc.weight, cyc.components)
 
 
-def tower_from_json(obj: dict, verify: bool = True):
+def tower_from_json(obj: dict) -> InfCycle:
+    """A linked tower; construction verifies every link (LinkViolation)."""
     comps = {item["n"]: wedge_from_json(item["elem"]) for item in obj["components"]}
-    weight = obj["weight"]
-    try:
-        return InfCycle(weight, comps, verify=verify)
-    except Exception:
-        if verify:
-            raise
-        return weight, comps
+    return InfCycle(obj["weight"], comps)
 
 
 def dumps(obj) -> str:

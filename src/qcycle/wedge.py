@@ -13,7 +13,6 @@ substitutions and comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .cyclotomic import CycScalar
 from .laurent import (
@@ -23,7 +22,7 @@ from .laurent import (
     _ratfn,
     exact_div,
     is_symmetric,
-    substitute,
+    monomial_det,
     zvar,
 )
 
@@ -219,40 +218,25 @@ class WedgeElem(SubsetTerms):
         return total
 
     def specialize_slot(self, slot: int, value) -> "WedgeElem":
-        """Substitute `value` into slot `slot` (1-based); remaining slots close up."""
+        """Substitute `value` into slot `slot` (1-based); remaining slots close up.
+
+        Cofactor expansion along the slot's column: det(X_b^(s_a)) with
+        X_slot = v is the signed sum of v^(s_a) times the minors on the
+        remaining exponents, so no polynomial expansion is needed.
+        """
         if self.l < 1:
             raise ValueError("cannot specialize a slot of a degree-0 element")
         if not 1 <= slot <= self.l:
             raise ValueError("slot %d out of range" % slot)
         if not isinstance(value, (LaurentPoly, RationalFn)):
             value = LaurentPoly.const(value)
-        if slot == self.l and isinstance(value, LaurentPoly) and len(value.terms) == 1:
-            return self._specialize_last_monomial(value)
-        poly = self.to_poly()
-        bindings = {Xvar(slot): value}
-        for j in range(slot + 1, self.l + 1):
-            bindings[Xvar(j)] = LaurentPoly.var(Xvar(j - 1))
-        res = substitute(poly.num, bindings)
-        for f, m in poly.den:
-            res = res * RationalFn._raw(LaurentPoly.one(), [(f, m)])
-        return collect_skew(res, self.n, self.l - 1)
-
-    def _specialize_last_monomial(self, value: LaurentPoly) -> "WedgeElem":
-        """Cofactor expansion of the last column at a monomial value.
-
-        det(X_b^(s_a)) with the last slot set to v splits into a signed sum
-        of v^(s_a) times the minors on the remaining exponents, so no
-        polynomial expansion is needed.
-        """
         out = {}
-        l = self.l
         for subset, coeff in self.terms.items():
             for pos, s in enumerate(subset):
-                minor = subset[:pos] + subset[pos + 1:]
-                sign = (pos + 1 + l) % 2  # (-1)^(a + l) with a = pos + 1
-                c = coeff * RationalFn.from_poly(value ** s)
-                add_term(out, minor, -c if sign else c)
-        res = WedgeElem(self.n, l - 1)
+                c = coeff * value ** s
+                # (-1)^(a + slot) with a = pos + 1
+                add_term(out, subset[:pos] + subset[pos + 1:], -c if (pos + 1 + slot) % 2 else c)
+        res = WedgeElem(self.n, self.l - 1)
         res.terms = out
         return res
 
@@ -290,22 +274,9 @@ _DET_CACHE = {}
 def _basis_det(subset) -> LaurentPoly:
     key = tuple(subset)
     cached = _DET_CACHE.get(key)
-    if cached is not None:
-        return cached
-    l = len(key)
-    if l == 0:
-        out = LaurentPoly.one()
-    else:
-        terms = {}
-        for perm in permutations(range(l)):
-            sign = _perm_sign(perm)
-            mono = tuple(
-                sorted((Xvar(perm[a] + 1), key[a]) for a in range(l) if key[a])
-            )
-            add_term(terms, mono, CycScalar(sign))
-        out = LaurentPoly(terms)
-    _DET_CACHE[key] = out
-    return out
+    if cached is None:
+        cached = _DET_CACHE[key] = monomial_det([Xvar(b) for b in range(1, len(key) + 1)], key)
+    return cached
 
 
 def skew_collect(poly, n: int, l: int) -> WedgeElem:
@@ -338,7 +309,7 @@ def skew_collect(poly, n: int, l: int) -> WedgeElem:
         restm = tuple(sorted(rest.items()))
         add_term(acc, key, LaurentPoly.monomial(restm, coeff if sign > 0 else -coeff))
     out = WedgeElem(n, l)
-    out.terms = {key: RationalFn._raw(c, den) for key, c in acc.items()}
+    out.terms = {key: RationalFn(c, den) for key, c in acc.items()}
     return out
 
 
@@ -447,7 +418,8 @@ def kernel_F(n: int) -> RationalFn:
         h = exact_div(num, X - t)
         h = _expand_evars(t * h, n)
         out = RationalFn(h, [theta(n)]).scale(Fraction(1, 2))
-        assert out.num.degree("X") <= n - 1
+        if out.num.degree("X") > n - 1:
+            raise ArithmeticError("lowering kernel exceeds slot degree %d" % (n - 1))
     _KERNEL_CACHE[key] = out
     return out
 
@@ -479,8 +451,8 @@ def kernel_F2(n: int) -> RationalFn:
         num = exact_div(num, fac)
     num = _expand_evars(num, n)
     out = RationalFn(num, [theta(n)])
-    if n >= 1:
-        assert num.degree("X1") <= n - 1 and num.degree("X2") <= n - 1
+    if n >= 1 and max(num.degree("X1"), num.degree("X2")) > n - 1:
+        raise ArithmeticError("divided kernel exceeds slot degree %d" % (n - 1))
     _KERNEL_CACHE[key] = out
     return out
 
@@ -496,7 +468,28 @@ def kernel_coeffs_X(kernel: RationalFn, slots) -> dict:
         d = dict(mono)
         exps = tuple(d.pop(s, 0) for s in slots)
         add_term(buckets, exps, LaurentPoly.monomial(tuple(sorted(d.items())), coeff))
-    return {k: RationalFn._raw(v, kernel.den) for k, v in buckets.items()}
+    return {k: RationalFn(v, kernel.den) for k, v in buckets.items()}
+
+
+def kernel_subsets(n: int, l: int) -> dict:
+    """kernel_F(n) (l = 1) or kernel_F2(n) (l = 2) on the subset basis.
+
+    Maps increasing exponent tuples to RationalFn coefficients.  The divided
+    kernel must be skew in (X1, X2); that is checked exactly.
+    """
+    if l == 1:
+        return {(e,): c for (e,), c in kernel_coeffs_X(kernel_F(n), ("X",)).items()}
+    split = kernel_coeffs_X(kernel_F2(n), ("X1", "X2"))
+    out = {}
+    for (e1, e2), coeff in split.items():
+        if e1 == e2:
+            raise ArithmeticError("divided kernel is not skew")
+        if e1 < e2:
+            # skewness pins the (e2, e1) bucket to the negative of this one
+            if split.get((e2, e1)) != -coeff:
+                raise ArithmeticError("divided kernel is not skew")
+            out[(e1, e2)] = coeff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +534,7 @@ def bigrade(P: WedgeElem):
         if dden is None:
             raise ValueError("coefficient denominator is not z-homogeneous")
         for dnum, poly in num_parts.items():
-            add_term(raw.setdefault(base + dnum - dden, {}), s, RationalFn._raw(poly, c.den))
+            add_term(raw.setdefault(base + dnum - dden, {}), s, RationalFn(poly, c.den))
     parts = {}
     for d, bucket in raw.items():
         elem = WedgeElem(P.n, P.l, bucket)

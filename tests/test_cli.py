@@ -103,6 +103,31 @@ def test_act_series_output(tmp_path):
     assert powers == sorted(powers) and 0 in powers and 2 in powers
 
 
+def test_act_series_honours_low_order(tmp_path):
+    elem = tmp_path / "elem.json"
+    elem.write_text(json.dumps({
+        "n": 1, "l": 1,
+        "terms": [{"subset": [0], "coeff": {
+            "vars": [], "laurent": [], "terms": [{"exps": [], "coeff": "1"}]}}],
+    }))
+    r = run_cli("act", "--family", "xplus", "--series", "--order", "1",
+                "--in", str(elem))
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["order"] == 1
+    powers = [row["t_power"] for row in out["coefficients"]]
+    assert powers == [0, 1]
+
+
+def test_tower_act_on_unlinked_tower(tmp_path):
+    tower_path = tmp_path / "tz.json"
+    r = run_cli("tower", "--name", "Tz", "--nmax", "4", "--out", str(tower_path))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("tower-act", "--word", "x+1", "--in", str(tower_path))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+
+
 def test_accept_rejects_unknown_suite():
     r = run_cli("accept", "--suite", "bogus")
     assert r.returncode == 2

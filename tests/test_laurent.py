@@ -13,6 +13,7 @@ from qcycle.laurent import (
     schur_frobenius,
     series_expand,
     substitute,
+    substitute_ratfn,
     subs_poly,
     sym_elementary,
     sym_power,
@@ -91,6 +92,15 @@ def test_substitute_general_rational():
     p = LaurentPoly.var("z1", -1)
     r = substitute(p, {"z1": one + z2})
     assert r * (one + z2) == RationalFn.from_poly(one)
+
+
+def test_substitute_ratfn_reduces_before_a_pole():
+    # the lazy product leaves (z1^2 - 1) / (z1^2 - 1) unreduced
+    r = RationalFn(z1 - one, [z1 * z1 - one]) * (z1 + one)
+    assert r.den
+    assert substitute_ratfn(r, {"z1": 1}) == RationalFn.from_poly(one)
+    with pytest.raises(TypeError):
+        substitute(r, {"z1": 1})
 
 
 def test_series_geometric():

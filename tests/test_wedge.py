@@ -1,9 +1,18 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
 
-from qcycle.laurent import LaurentPoly, RationalFn, series_expand, sym_elementary
+from qcycle.cyclotomic import CycScalar
+from qcycle.laurent import (
+    LaurentPoly,
+    RationalFn,
+    series_expand,
+    substitute_ratfn,
+    sym_elementary,
+)
+from qcycle.sampling import random_wedge
 from qcycle.wedge import (
     BiGrading,
     WedgeElem,
@@ -138,6 +147,33 @@ def test_specialize_slot():
     assert got == WedgeElem(2, 1, {(0,): t, (1,): -one})
     with pytest.raises(ValueError):
         WedgeElem.unit(2).specialize_slot(1, t)
+
+
+def _specialize_by_expansion(P, slot, value):
+    """Reference: expand, substitute the slot, close up, re-collect."""
+    bindings = {Xvar(slot): value}
+    for j in range(slot + 1, P.l + 1):
+        bindings[Xvar(j)] = LaurentPoly.var(Xvar(j - 1))
+    res = skew_collect(substitute_ratfn(P.to_poly(), bindings), P.n, P.l - 1)
+    inv = CycScalar(Fraction(1, math.factorial(P.l - 1)))
+    return res.map_coeffs(lambda c: c * inv)
+
+
+def test_specialize_slot_matches_expansion():
+    rng = random.Random(23)
+    values = [t, z1 + t, 3, 0, RationalFn(one, [one - z1 * t])]
+    pole = RationalFn(one, [one - z1 * z2])
+    for n in (2, 3, 4):
+        for l in range(1, min(n, 3) + 1):
+            for trial in range(2):
+                P = random_wedge(rng, n, l)
+                if trial:
+                    P = P.scaled(pole)  # coefficients with a denominator
+                for slot in range(1, l + 1):
+                    for v in values:
+                        got = P.specialize_slot(slot, v)
+                        assert (got.n, got.l) == (n, l - 1)
+                        assert got == _specialize_by_expansion(P, slot, v), (n, l, slot, v)
 
 
 def test_bigrade():
