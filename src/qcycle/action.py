@@ -23,29 +23,23 @@ from .cyclotomic import CycScalar, I, i_power
 from .laurent import (
     LaurentPoly,
     RationalFn,
-    _perm_sign,
-    exact_div,
     negate_var,
     series_expand,
     series_expand_coeffs,
-    substitute,
     zvar,
 )
 from .wedge import (
     WedgeElem,
-    Xvar,
+    a_slot_table,
     add_term,
-    collect_skew,
     kernel_subsets,
+    subset_product,
     theta,
-    theta_at,
 )
 
 X_FAMILIES = ("xminus", "xminus2", "xplus", "xplus2")
-FAMILIES = X_FAMILIES + ("aplus", "aminus", "t1")
-
-_L_SHIFT = {"xminus": 1, "xminus2": 2, "xplus": -1, "xplus2": -2,
-            "aplus": 0, "aminus": 0}
+SERIES_FAMILIES = X_FAMILIES + ("aplus", "aminus")
+FAMILIES = SERIES_FAMILIES + ("t1",)
 
 
 class GenMode:
@@ -178,7 +172,7 @@ def act_series(family: str, P: WedgeElem, order: int, point: str | None = None,
     least 3, which the kernel caches share, and trimmed to the request.
     """
     n, l = P.n, P.l
-    if family not in FAMILIES or family == "t1":
+    if family not in SERIES_FAMILIES:
         raise ValueError("act_series expects a series family, not %r" % family)
     if point is None:
         point = {"xminus": "zero", "xminus2": "zero", "xplus": "zero",
@@ -295,18 +289,18 @@ def _prefactor(family: str, point: str, n: int) -> CycScalar:
 def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
     """Diagonal series on one basis element, assembled in two halves.
 
-    The half with denominator theta(t) carries the z-sum and the direct slot
-    terms; the t -> -t images sit over theta(-t).  Keeping the halves apart
-    until after the expansion avoids the large cross products; only their sum
-    per power of t is skew symmetric, which is checked before collection.
+    The slot operator acts as a derivation of the wedge product, one slot at
+    a time through `a_slot_table`.  The half with denominator theta(t)
+    carries the z-sum and the direct slot terms; the t -> -t images sit over
+    theta(-t).  Keeping the halves apart until after the expansion avoids the
+    large cross products.
     """
-    n, l = P.n, P.l
+    n = P.n
     t = LaurentPoly.var("t")
     one = LaurentPoly.one()
     th_t = theta(n)
     th_m = negate_var(th_t, "t")
-    poly = P.to_poly()
-    num, den = poly.num, poly.den
+    table = a_slot_table(n, family)
 
     diag_num = LaurentPoly.zero()
     for j in range(1, n + 1):
@@ -316,67 +310,28 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
                 part = part * (one - LaurentPoly.var(zvar(j2)) * t)
         diag_num = diag_num + part
 
-    plus_num = diag_num * num   # over th_t * den
-    minus_num = LaurentPoly.zero()  # over th_m * den
-    for p in range(1, l + 1):
-        Xp = LaurentPoly.var(Xvar(p))
-        sub = substitute(num, {Xvar(p): t}).as_laurent()
-        if family == "aplus":
-            big = theta_at(n, Xp) * sub - th_t * num
-        else:
-            big = t * theta_at(n, Xp) * sub - Xp * th_t * num
-        quot = exact_div(big, Xp - t)
-        if family == "aplus":
-            quot = t * quot
-        if family == "aminus":
-            plus_num = plus_num - quot
-            minus_num = minus_num - negate_var(quot, "t")
-        else:
-            plus_num = plus_num + quot
-            minus_num = minus_num + negate_var(quot, "t")
+    slot_terms = {}
+    for subset, coeff in P.terms.items():
+        for a, s in enumerate(subset):
+            head = subset_product({subset[:a]: coeff}, table[s])
+            for key, c in subset_product(head, {subset[a + 1:]: one}).items():
+                add_term(slot_terms, key, c)
+    plus = dict(slot_terms)
+    for subset, coeff in P.terms.items():
+        add_term(plus, subset, coeff * diag_num)
+    minus = {key: RationalFn(negate_var(c.num, "t"), c.den) for key, c in slot_terms.items()}
 
     per_power = {}
-    for nump, th in ((plus_num, th_t), (minus_num, th_m)):
-        if nump.is_zero():
-            continue
-        part = RationalFn(nump, list(den) + [(th, 1)])
-        for k, c in series_expand_coeffs(part, "t", point, order).items():
-            if abs(k) <= order:
-                add_term(per_power, k, c)
-    coeffs = {}
-    for k, c in per_power.items():
-        _check_skew_poly(c.num, l)
-        elem = collect_skew(c, n, l)
-        if not elem.is_zero():
-            coeffs[k] = elem
+    for half, th in ((plus, th_t), (minus, th_m)):
+        for key, c in half.items():
+            part = RationalFn(c.num, list(c.den) + [(th, 1)])
+            for k, val in series_expand_coeffs(part, "t", point, order).items():
+                if abs(k) <= order:
+                    add_term(per_power.setdefault(k, {}), key, val)
+    coeffs = {k: P._like(terms) for k, terms in per_power.items() if terms}
     if not all(k >= 1 if family == "aplus" else k <= -1 for k in coeffs):
         raise ArithmeticError("%s series has a mode on the wrong side of t^0" % family)
     return coeffs
-
-
-def _check_skew_poly(num: LaurentPoly, l: int):
-    """Structural skewness of a polynomial in X1..Xl (slot-free coefficients)."""
-    if l <= 1:
-        return
-    table = {}
-    for mono, coeff in num.terms.items():
-        exps = [0] * l
-        rest = []
-        for name, e in mono:
-            if name.startswith("X") and name[1:].isdigit() and 1 <= int(name[1:]) <= l:
-                exps[int(name[1:]) - 1] = e
-            else:
-                rest.append((name, e))
-        table[(tuple(exps), tuple(rest))] = coeff
-    for (exps, rest), coeff in table.items():
-        if len(set(exps)) != l:
-            raise AssertionError("skew polynomial has a repeated slot exponent")
-        order = sorted(range(l), key=lambda a: exps[a])
-        sgn = _perm_sign(order)
-        skey = (tuple(sorted(exps)), rest)
-        ref = table.get(skey)
-        if ref is None or ref != (coeff if sgn > 0 else -coeff):
-            raise AssertionError("a-series output failed to be skew symmetric")
 
 
 # ---------------------------------------------------------------------------

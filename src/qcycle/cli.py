@@ -290,7 +290,17 @@ def cmd_accept(args):
     return 0 if report["passed"] else 1
 
 
+def _natural(text: str) -> int:
+    """argparse type for a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("%s is negative" % text)
+    return value
+
+
 def build_parser():
+    from .action import FAMILIES, SERIES_FAMILIES
+
     p = argparse.ArgumentParser(
         prog="qcycle",
         description="exact engine for deformed cycles and loop-algebra actions "
@@ -299,7 +309,7 @@ def build_parser():
     sub = p.add_subparsers(dest="verb", required=True)
 
     pa = sub.add_parser("act", help="apply a generator mode or series")
-    pa.add_argument("--family", required=True)
+    pa.add_argument("--family", required=True, choices=FAMILIES)
     pa.add_argument("--k", type=int, default=0)
     pa.add_argument("--series", action="store_true")
     pa.add_argument("--order", type=int, default=3)
@@ -335,8 +345,8 @@ def build_parser():
     pw.set_defaults(fn=cmd_tower_act)
 
     po = sub.add_parser("orbit", help="bigraded dimension table of the unit orbit")
-    po.add_argument("--N", type=int, required=True)
-    po.add_argument("--deg", type=int, required=True)
+    po.add_argument("--N", type=_natural, required=True)
+    po.add_argument("--deg", type=_natural, required=True)
     po.add_argument("--out")
     po.set_defaults(fn=cmd_orbit)
 
@@ -367,7 +377,7 @@ def build_parser():
     pc.set_defaults(fn=cmd_char)
 
     pf = sub.add_parser("oracle", help="cross-check one family against the fermions")
-    pf.add_argument("--family", required=True)
+    pf.add_argument("--family", required=True, choices=SERIES_FAMILIES)
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--l", type=int, help="input degree; defaults to all applicable")
     pf.add_argument("--samples", type=int, default=5)
@@ -393,6 +403,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except serialize.MalformedInput as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

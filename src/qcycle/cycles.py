@@ -19,6 +19,7 @@ from .laurent import (
     LaurentPoly,
     NonDivisibleError,
     RationalFn,
+    _perm_sign,
     exact_div,
     negate_var,
     substitute,
@@ -33,7 +34,7 @@ from .wedge import (
     multiply_slot_square_product,
     proportionality_scalar,
 )
-from .action import GenMode, _check_skew_poly, apply_mode
+from .action import GenMode, apply_mode
 
 
 class LinkPair:
@@ -183,24 +184,49 @@ def _validate_interpolant(s: SlotInterpolant, P_low: WedgeElem, high: RationalFn
     _check_skew_poly(num, l)
     for a in range(1, l + 1):
         if num.degree(Xvar(a)) > n - 1:
-            raise AssertionError("interpolant slot degree bound broken")
+            raise ArithmeticError("interpolant slot degree bound broken")
     if num.degree(Xvar(l + 1)) > n + 1:
-        raise AssertionError("interpolant last-slot degree bound broken")
+        raise ArithmeticError("interpolant last-slot degree bound broken")
     for j in range(1, n):
         if swap_vars(num, zvar(j), zvar(j + 1)) != num:
-            raise AssertionError("interpolant is not z-symmetric")
+            raise ArithmeticError("interpolant is not z-symmetric")
     if negate_var(num, "z") != num:
-        raise AssertionError("interpolant is not even in z")
+        raise ArithmeticError("interpolant is not even in z")
     # substitution of 1/z into the extra slot recovers the low component
     low_back = substitute(num, {Xvar(l + 1): LaurentPoly.var("z", -1)})
     target = P_low.to_poly() * RationalFn.from_poly(LaurentPoly.var("z", -n - 1))
     if low_back != target:
-        raise AssertionError("interpolant does not restrict to the low component")
+        raise ArithmeticError("interpolant does not restrict to the low component")
     # skew assembly recovers the specialized high component
     z = LaurentPoly.var("z")
     back = RationalFn.from_poly(_assemble_tower(num, l, z * z))
     if back != high:
-        raise AssertionError("interpolant does not assemble to the high component")
+        raise ArithmeticError("interpolant does not assemble to the high component")
+
+
+def _check_skew_poly(num: LaurentPoly, l: int):
+    """Structural skewness of a polynomial in X1..Xl (slot-free coefficients)."""
+    if l <= 1:
+        return
+    table = {}
+    for mono, coeff in num.terms.items():
+        exps = [0] * l
+        rest = []
+        for name, e in mono:
+            if name.startswith("X") and name[1:].isdigit() and 1 <= int(name[1:]) <= l:
+                exps[int(name[1:]) - 1] = e
+            else:
+                rest.append((name, e))
+        table[(tuple(exps), tuple(rest))] = coeff
+    for (exps, rest), coeff in table.items():
+        if len(set(exps)) != l:
+            raise ArithmeticError("skew polynomial has a repeated slot exponent")
+        order = sorted(range(l), key=lambda a: exps[a])
+        sgn = _perm_sign(order)
+        skey = (tuple(sorted(exps)), rest)
+        ref = table.get(skey)
+        if ref is None or ref != (coeff if sgn > 0 else -coeff):
+            raise ArithmeticError("polynomial failed to be skew symmetric")
 
 
 def _assemble_tower(num: LaurentPoly, l: int, zsq: LaurentPoly) -> LaurentPoly:

@@ -164,7 +164,7 @@ def generate_W(N: int, D: int) -> OrbitResult:
     def bigrade_of(P):
         g = bigrade(P)
         if not isinstance(g, BiGrading):
-            raise AssertionError("orbit vector is not homogeneous")
+            raise ArithmeticError("orbit vector is not homogeneous")
         return (g.deg0, g.weight)
 
     def insert(P, word):

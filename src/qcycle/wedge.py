@@ -313,16 +313,6 @@ def skew_collect(poly, n: int, l: int) -> WedgeElem:
     return out
 
 
-_FACTORIALS = [1, 1, 2, 6, 24, 120, 720, 5040, 40320]
-
-
-def collect_skew(poly, n: int, l: int) -> WedgeElem:
-    """Write an already skew-symmetric polynomial on the subset basis."""
-    res = skew_collect(poly, n, l)
-    inv = CycScalar(Fraction(1, _FACTORIALS[l]))
-    return res.map_coeffs(lambda c: c * inv)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -457,6 +447,31 @@ def kernel_F2(n: int) -> RationalFn:
     return out
 
 
+def a_slot_table(n: int, family: str) -> dict:
+    """One-slot operator of the diagonal a-series on X^s, 0 <= s < n.
+
+    Maps s to {(j,): coefficient of X^j} in
+      aplus:   t (Theta(X) t^s - Theta(t) X^s) / (X - t)
+      aminus: -(t Theta(X) t^s - X Theta(t) X^s) / (X - t),
+    polynomials in (z, t) of slot degree below n.
+    """
+    key = (family, n)
+    if key in _KERNEL_CACHE:
+        return _KERNEL_CACHE[key]
+    t = LaurentPoly.var("t")
+    X = LaurentPoly.var("X")
+    th_X, th_t = theta_at(n, X), theta(n)
+    out = {}
+    for s in range(n):
+        if family == "aplus":
+            num = t * (th_X * t ** s - th_t * X ** s)
+        else:
+            num = -(t * th_X * t ** s - X * th_t * X ** s)
+        out[s] = kernel_coeffs_X(RationalFn.from_poly(exact_div(num, X - t)), ("X",))
+    _KERNEL_CACHE[key] = out
+    return out
+
+
 def kernel_coeffs_X(kernel: RationalFn, slots) -> dict:
     """Split a kernel into slot-monomial coefficients.
 
@@ -558,30 +573,20 @@ def _z_homogeneous_parts(p: LaurentPoly) -> dict:
 def multiply_slot_square_product(P: WedgeElem, zsq) -> WedgeElem:
     """Multiply by prod_a (1 - X_a^2 * zsq) on the subset basis.
 
-    The elementary symmetric pieces in the squared slots act by shifting
-    subsets of exponents up by two, with the sorting sign and collisions
-    dropped; zsq is a slot-free polynomial (typically z^2).
+    The factor acts one slot at a time, X^s -> X^s - zsq X^(s+2), so a basis
+    wedge maps to the wedge of its slots' images; zsq is a slot-free
+    polynomial (typically z^2).
     """
-    from itertools import combinations
-
-    if not isinstance(zsq, LaurentPoly):
-        zsq = LaurentPoly.const(zsq)
-    out = WedgeElem(P.n + 2, P.l)
+    one = RationalFn.from_poly(LaurentPoly.one())
+    minus_zsq = -_coeff(zsq)
     acc = {}
     for subset, coeff in P.terms.items():
-        for k in range(0, P.l + 1):
-            for T in combinations(range(P.l), k):
-                shifted = list(subset)
-                for idx in T:
-                    shifted[idx] += 2
-                if len(set(shifted)) != P.l:
-                    continue
-                order = sorted(range(P.l), key=lambda a: shifted[a])
-                sign = _perm_sign(order)
-                if k % 2:
-                    sign = -sign
-                c = coeff * RationalFn.from_poly(zsq ** k)
-                add_term(acc, tuple(sorted(shifted)), -c if sign < 0 else c)
+        image = {(): one}
+        for s in subset:
+            image = subset_product(image, {(s,): one, (s + 2,): minus_zsq})
+        for key, c in image.items():
+            add_term(acc, key, coeff * c)
+    out = WedgeElem(P.n + 2, P.l)
     out.terms = acc
     return out
 

@@ -1,11 +1,25 @@
+import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from qcycle.cyclotomic import I
-from qcycle.laurent import LaurentPoly, RationalFn, sym_elementary, sym_power
+from qcycle.cyclotomic import CycScalar, I
+from qcycle.laurent import (
+    LaurentPoly,
+    RationalFn,
+    exact_div,
+    negate_var,
+    series_expand_coeffs,
+    substitute,
+    sym_elementary,
+    sym_power,
+    zvar,
+)
 from qcycle.action import (
     GenMode,
+    _a_series_basis,
     act_series,
     apply_mode,
     apply_word,
@@ -15,7 +29,7 @@ from qcycle.action import (
     xminus,
     xplus,
 )
-from qcycle.wedge import WedgeElem
+from qcycle.wedge import WedgeElem, Xvar, skew_collect, theta, theta_at
 
 from conftest import random_wedge
 
@@ -83,6 +97,55 @@ def test_odd_a_modes_are_multiplication_everywhere():
         for m in (1, 3, -1):
             got = apply_mode(atilde(m), P)
             assert got == P.scaled(sym_power(n, m)), (n, l, m)
+
+
+def _a_series_by_expansion(family, P, point, order):
+    """Reference: expand P, act on each slot X_p by substituting X_p = t and
+    dividing by X_p - t, expand both halves, re-collect with skew_collect / l!."""
+    n, l = P.n, P.l
+    t = LaurentPoly.var("t")
+    th_t = theta(n)
+    th_m = negate_var(th_t, "t")
+    poly = P.to_poly()
+    num, den = poly.num, poly.den
+    diag = LaurentPoly.zero()
+    for j in range(1, n + 1):
+        zj = LaurentPoly.var(zvar(j))
+        rest = exact_div(th_t, one - zj * t)
+        diag = diag + (zj * t * rest if family == "aplus" else -rest)
+    plus, minus = diag * num, LaurentPoly.zero()
+    for p in range(1, l + 1):
+        Xp = LaurentPoly.var(Xvar(p))
+        sub = substitute(num, {Xvar(p): t}).as_laurent()
+        if family == "aplus":
+            quot = t * exact_div(theta_at(n, Xp) * sub - th_t * num, Xp - t)
+        else:
+            quot = -exact_div(t * theta_at(n, Xp) * sub - Xp * th_t * num, Xp - t)
+        plus = plus + quot
+        minus = minus + negate_var(quot, "t")
+    per_power = {}
+    for nump, th in ((plus, th_t), (minus, th_m)):
+        part = RationalFn(nump, list(den) + [(th, 1)])
+        for k, c in series_expand_coeffs(part, "t", point, order).items():
+            if abs(k) <= order:
+                per_power[k] = per_power[k] + c if k in per_power else c
+    inv = CycScalar(Fraction(1, math.factorial(l)))
+    out = {}
+    for k, c in per_power.items():
+        elem = skew_collect(c, n, l).map_coeffs(lambda v: v * inv)
+        if not elem.is_zero():
+            out[k] = elem
+    return out
+
+
+def test_a_series_matches_expanded_path():
+    for family, point in (("aplus", "zero"), ("aminus", "inf")):
+        for n in range(1, 5):
+            for l in range(n + 1):
+                for subset in combinations(range(n), l):
+                    P = WedgeElem.monomial_wedge(n, subset)
+                    got = _a_series_basis(family, P, point, 3)
+                    assert got == _a_series_by_expansion(family, P, point, 3), (family, subset)
 
 
 def test_divided_lowering_zero_mode():

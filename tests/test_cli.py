@@ -1,15 +1,31 @@
 """End-to-end command line checks through subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 
-def run_cli(*argv):
+
+def run_cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qcycle.cli"] + list(argv),
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
+
+
+def _element(coeff="1", exps=(), drop_elem=(), drop_poly=()):
+    """JSON for coeff * z1^exps on X^0, shape (1, 1), minus the named fields
+    of the element (`drop_elem`) and of its coefficient (`drop_poly`)."""
+    poly = {"vars": ["z1"][:len(exps)], "laurent": [True][:len(exps)],
+            "terms": [{"exps": list(exps), "coeff": coeff}]}
+    elem = {"n": 1, "l": 1, "terms": [{"subset": [0], "coeff": poly}]}
+    for key in drop_elem:
+        del elem[key]
+    for key in drop_poly:
+        del poly[key]
+    return elem
 
 
 def test_tower_and_link_check_pipeline(tmp_path):
@@ -161,6 +177,54 @@ def test_malformed_input_exit_code(tmp_path):
     bad.write_text("{not json")
     r = run_cli("act", "--family", "xminus", "--k", "1", "--in", str(bad))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("elem", [
+    _element(drop_elem=["terms"]),
+    _element(drop_poly=["terms"]),
+    _element(drop_poly=["vars"]),
+    _element(drop_elem=["n"]),
+    _element(drop_elem=["l"]),
+    _element(coeff="1/0"),
+    _element(exps=[1.5]),
+    _element(exps=["1"]),
+], ids=["no-terms", "no-poly-terms", "no-vars", "no-n", "no-l", "coeff-1/0",
+        "float-exponent", "string-exponent"])
+def test_malformed_element_exits_2(tmp_path, elem):
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps(elem))
+    r = run_cli("act", "--family", "xminus", "--k", "1", "--in", str(path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--family", "bogus", "--k", "1", "--in", "ELEM"],
+    ["oracle", "--family", "t1", "--n", "2"],
+    ["oracle", "--family", "bogus", "--n", "2"],
+    ["orbit", "--N", "-1", "--deg", "2"],
+    ["orbit", "--N", "1", "--deg", "-1"],
+], ids=["act-family", "oracle-t1", "oracle-family", "orbit-N", "orbit-deg"])
+def test_bad_arguments_exit_2(tmp_path, argv):
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps(_element()))
+    r = run_cli(*[str(path) if a == "ELEM" else a for a in argv])
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_output_ignores_hash_seed(tmp_path):
+    tower_path = tmp_path / "tower.json"
+    r = run_cli("tower", "--name", "identity", "--nmax", "6", "--out", str(tower_path))
+    assert r.returncode == 0, r.stderr
+    for argv in (["tower-act", "--word", "a2 a-1", "--in", str(tower_path)],
+                 ["oracle", "--family", "aminus", "--n", "3", "--samples", "1"]):
+        outs = []
+        for seed in ("1", "2"):
+            r = run_cli(*argv, env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert r.returncode == 0, r.stderr
+            outs.append(r.stdout)
+        assert outs[0] == outs[1], argv
 
 
 def test_determinism_of_tower_output(tmp_path):

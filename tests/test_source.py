@@ -6,12 +6,20 @@ import pathlib
 import qcycle
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
-    # python -O strips assert, so invariants must raise explicitly
+    # python -O strips assert, so invariants must raise explicitly, and a
+    # math invariant raises ArithmeticError rather than an AssertionError
     root = pathlib.Path(qcycle.__file__).parent
     found = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Raise) and node.exc is not None
+                  and _raises_assertion_error(node)]
     assert found == []

@@ -21,6 +21,7 @@ from qcycle.wedge import (
     kernel_F,
     kernel_F2,
     kernel_coeffs_X,
+    multiply_slot_square_product,
     skew_collect,
     theta,
     theta2_at,
@@ -174,6 +175,22 @@ def test_specialize_slot_matches_expansion():
                         got = P.specialize_slot(slot, v)
                         assert (got.n, got.l) == (n, l - 1)
                         assert got == _specialize_by_expansion(P, slot, v), (n, l, slot, v)
+
+
+def test_slot_square_product_matches_expansion():
+    rng = random.Random(31)
+    zsq = LaurentPoly.var("z", 2)
+    for n in (1, 2, 3, 4):
+        for l in range(1, n + 1):
+            P = random_wedge(rng, n, l)
+            factor = one
+            for a in range(1, l + 1):
+                factor = factor * (one - LaurentPoly.var(Xvar(a), 2) * zsq)
+            want = skew_collect(P.to_poly() * RationalFn.from_poly(factor), n + 2, l)
+            inv = CycScalar(Fraction(1, math.factorial(l)))
+            got = multiply_slot_square_product(P, zsq)
+            assert (got.n, got.l) == (n + 2, l)
+            assert got == want.map_coeffs(lambda c: c * inv), (n, l)
 
 
 def test_bigrade():
