@@ -78,8 +78,16 @@ def parse_word(text: str):
 
 
 def cmd_act(args):
-    from .action import GenMode, act_series, apply_mode
+    from .action import SERIES_FAMILIES, GenMode, act_series, apply_mode
 
+    if args.series:
+        if args.family not in SERIES_FAMILIES:
+            raise CliError("--series takes a series family, not %r" % args.family)
+    else:
+        try:
+            g = GenMode(args.family, args.k)
+        except ValueError as exc:
+            raise CliError(str(exc))
     P = serialize.wedge_from_json(_read_json(args.infile))
     if args.series:
         series = act_series(args.family, P, args.order)
@@ -94,7 +102,6 @@ def cmd_act(args):
             ],
         }
     else:
-        g = GenMode(args.family, args.k)
         out = apply_mode(g, P)
         payload = serialize.wedge_to_json(out)
     _emit(args, payload)
@@ -227,8 +234,7 @@ def cmd_char(args):
         _emit(args, rep)
         return 0 if rep.get("passed") else 1
     if args.measured:
-        dims_obj = _read_json(args.measured)
-        dims = {(row["deg0"], row["weight"]): row["dim"] for row in dims_obj["dims"]}
+        dims = serialize.dims_from_json(_read_json(args.measured))
         series = characters.measured_char(dims, args.N)
         _emit(args, {"N": args.N, "table": series.table()})
         return 0

@@ -2,78 +2,89 @@
 
 Every scalar appearing in the engine lives in the degree-4 cyclotomic field
 generated by a primitive 8th root of unity w, with minimal polynomial
-w^4 + 1.  An element is stored as four rationals (c0, c1, c2, c3) meaning
-c0 + c1*w + c2*w^2 + c3*w^3.  In particular i = w^2 and i^(1/2) = w.
+w^4 + 1.  An element is stored as four integer numerators n = (n0, n1, n2, n3)
+over one positive integer denominator d, meaning
+(n0 + n1*w + n2*w^2 + n3*w^3) / d.  In particular i = w^2 and i^(1/2) = w.
 
-The representation is canonical, so equality is component-wise.  All
-arithmetic is exact; there is no floating point anywhere in this package.
+The pair is kept in lowest terms: gcd(n0, n1, n2, n3, d) = 1 and d > 0, and
+zero is (0, 0, 0, 0) / 1.  The representation is therefore canonical, so
+equality is component-wise.  Sums and products are plain integer arithmetic
+(w^4 = -1 is folded into the product formula), and the normalising gcd runs
+only when d != 1.  Fractions appear only at the boundaries: the constructor,
+`from_components`, the read-only `.c` and `parse_scalar`.  All arithmetic is
+exact; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
-_F0 = Fraction(0)
-_ZERO4 = (_F0,) * 4
+_ZERO4 = (0, 0, 0, 0)
 
 
 class CycScalar:
     """An element of Q(zeta_8), reduced modulo w^4 = -1."""
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+        _set_components(self, (c0, c1, c2, c3))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_components(cls, comps) -> "CycScalar":
         s = cls.__new__(cls)
-        s.c = tuple(x if type(x) is Fraction else Fraction(x) for x in comps)
-        return s
-
-    @classmethod
-    def _make(cls, c0, c1, c2, c3) -> "CycScalar":
-        # trusted fast path: components must already be Fractions
-        s = cls.__new__(cls)
-        s.c = (c0, c1, c2, c3)
+        _set_components(s, tuple(comps))
         return s
 
     @classmethod
     def zero(cls) -> "CycScalar":
-        return cls.from_components(_ZERO4)
+        return _reduced(0, 0, 0, 0, 1)
 
     @classmethod
     def one(cls) -> "CycScalar":
-        return cls(1)
+        return _reduced(1, 0, 0, 0, 1)
 
     @classmethod
     def zeta(cls, k: int = 1) -> "CycScalar":
         """w^k for any integer k (w = primitive 8th root of unity)."""
         k %= 8
-        comps = [Fraction(0)] * 4
+        comps = [0] * 4
         if k < 4:
-            comps[k] = Fraction(1)
+            comps[k] = 1
         else:
-            comps[k - 4] = Fraction(-1)
-        return cls.from_components(comps)
+            comps[k - 4] = -1
+        return _reduced(*comps, 1)
+
+    @property
+    def c(self) -> tuple:
+        """The four components c0..c3 as Fractions."""
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        return CycScalar._make(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        ad, bd = self.d, other.d
+        if ad == bd:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _reduced(a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+                        a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.c
-        return CycScalar._make(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3 = self.n
+        return _reduced(-a0, -a1, -a2, -a3, self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -85,39 +96,33 @@ class CycScalar:
         return -(self - other)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        # rational fast paths cover the bulk of real coefficients
-        if not (a[1] or a[2] or a[3]):
-            a0 = a[0]
-            return CycScalar._make(a0 * b[0], a0 * b[1], a0 * b[2], a0 * b[3])
-        if not (b[1] or b[2] or b[3]):
-            b0 = b[0]
-            return CycScalar._make(a[0] * b0, a[1] * b0, a[2] * b0, a[3] * b0)
-        prod = [_F0] * 7
-        for j in range(4):
-            aj = a[j]
-            if not aj:
-                continue
-            for k in range(4):
-                bk = b[k]
-                if bk:
-                    prod[j + k] += aj * bk
-        # reduce by w^4 = -1
-        return CycScalar._make(
-            prod[0] - prod[4], prod[1] - prod[5], prod[2] - prod[6], prod[3]
-        )
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        d = self.d * other.d
+        if not (a1 or a2 or a3):
+            # rational fast path covers the bulk of real coefficients
+            return _reduced(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d)
+        if not (b1 or b2 or b3):
+            return _reduced(a0 * b0, a1 * b0, a2 * b0, a3 * b0, d)
+        # (sum a_j w^j)(sum b_k w^k) with w^4 = -1
+        return _reduced(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                        a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0, d)
 
     __rmul__ = __mul__
 
     def conj_product(self) -> "CycScalar":
         """Product of the three nontrivial Galois conjugates (w -> w^3, w^5, w^7)."""
-        c = self.c
-        g3 = CycScalar._make(c[0], c[3], -c[2], c[1])
-        g5 = CycScalar._make(c[0], -c[1], c[2], -c[3])
-        g7 = CycScalar._make(c[0], -c[3], -c[2], -c[1])
+        c0, c1, c2, c3 = self.n
+        d = self.d
+        g3 = _reduced(c0, c3, -c2, c1, d)
+        g5 = _reduced(c0, -c1, c2, -c3, d)
+        g7 = _reduced(c0, -c3, -c2, -c1, d)
         return g3 * g5 * g7
 
     def inverse(self) -> "CycScalar":
@@ -126,11 +131,14 @@ class CycScalar:
         cp = self.conj_product()
         norm = self * cp
         # norm lies in Q: only the constant component survives
-        if norm.c[1] or norm.c[2] or norm.c[3]:
+        m, m1, m2, m3 = norm.n
+        if m1 or m2 or m3:
             raise ArithmeticError("norm of %s is not rational" % self)
-        n0 = norm.c[0]
-        c = cp.c
-        return CycScalar._make(c[0] / n0, c[1] / n0, c[2] / n0, c[3] / n0)
+        # cp / (m / norm.d), with the sign of m moved to the numerators
+        scale = norm.d if m > 0 else -norm.d
+        c0, c1, c2, c3 = cp.n
+        return _reduced(c0 * scale, c1 * scale, c2 * scale, c3 * scale,
+                        cp.d * abs(m))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -157,19 +165,19 @@ class CycScalar:
     # -- predicates and canonical form ---------------------------------
 
     def is_zero(self) -> bool:
-        return self.c == _ZERO4
+        return self.n == _ZERO4
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.c == other.c
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.n != _ZERO4
 
     # -- text form ------------------------------------------------------
 
@@ -195,6 +203,34 @@ class CycScalar:
         return text.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _reduced(n0, n1, n2, n3, d) -> CycScalar:
+    """(n0, n1, n2, n3) / d in lowest terms; d must be positive."""
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
+    s = object.__new__(CycScalar)
+    s.n = (n0, n1, n2, n3)
+    s.d = d
+    return s
+
+
+def _set_components(s: CycScalar, comps: tuple) -> None:
+    """Store four int or Fraction components as numerators over one denominator."""
+    if all(type(x) is int for x in comps):
+        s.n, s.d = comps, 1
+        return
+    fracs = [Fraction(x) for x in comps]
+    # over the lcm of lowest-terms denominators the result is in lowest terms
+    d = lcm(*(x.denominator for x in fracs))
+    s.n = tuple(x.numerator * (d // x.denominator) for x in fracs)
+    s.d = d
 
 
 def _coerce(x):

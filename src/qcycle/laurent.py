@@ -679,7 +679,7 @@ def _could_divide(num: LaurentPoly, f: LaurentPoly) -> bool:
 
 
 def _factor_key(f: LaurentPoly):
-    return tuple(sorted((m, c.c) for m, c in f.terms.items()))
+    return tuple(sorted((m, c.n, c.d) for m, c in f.terms.items()))
 
 
 def _factor_merge(d1, d2, combine):
@@ -755,6 +755,7 @@ def substitute(p, bindings: dict) -> RationalFn:
         break
     if simple is not None:
         out = {}
+        powers = {}  # (name, e) -> bound coefficient ** e, once per call
         for mono, coeff in p.terms.items():
             acc_mono = ()
             acc_coeff = coeff
@@ -769,7 +770,10 @@ def substitute(p, bindings: dict) -> RationalFn:
                     ok = False
                     break
                 acc_mono = mono_mul(acc_mono, tuple((vn, ee * e) for vn, ee in bm))
-                acc_coeff = acc_coeff * (bc ** e)
+                bce = powers.get((name, e))
+                if bce is None:
+                    bce = powers[(name, e)] = bc ** e
+                acc_coeff = acc_coeff * bce
             if not ok:
                 simple = None
                 break

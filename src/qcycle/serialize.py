@@ -140,5 +140,11 @@ def tower_from_json(obj: dict) -> InfCycle:
     return InfCycle(weight, comps)
 
 
+def dims_from_json(obj: dict) -> dict:
+    """(deg0, weight) -> dim from the `dims` rows the orbit verb writes."""
+    return {(_field(row, "deg0"), _field(row, "weight")): _field(row, "dim")
+            for row in _field(obj, "dims", list)}
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -204,11 +204,27 @@ def test_malformed_element_exits_2(tmp_path, elem):
     ["oracle", "--family", "bogus", "--n", "2"],
     ["orbit", "--N", "-1", "--deg", "2"],
     ["orbit", "--N", "1", "--deg", "-1"],
-], ids=["act-family", "oracle-t1", "oracle-family", "orbit-N", "orbit-deg"])
+    ["act", "--family", "t1", "--series", "--in", "ELEM"],
+    ["act", "--family", "aplus", "--k", "0", "--in", "ELEM"],
+], ids=["act-family", "oracle-t1", "oracle-family", "orbit-N", "orbit-deg",
+        "act-series-t1", "act-aplus-k0"])
 def test_bad_arguments_exit_2(tmp_path, argv):
     path = tmp_path / "elem.json"
     path.write_text(json.dumps(_element()))
     r = run_cli(*[str(path) if a == "ELEM" else a for a in argv])
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("dims", [
+    {"x": 1},
+    {"dims": [{"deg0": 0, "weight": 1}]},
+    {"dims": [{"deg0": 0, "weight": 1, "dim": "1"}]},
+], ids=["no-dims", "row-without-dim", "string-dim"])
+def test_malformed_dims_exits_2(tmp_path, dims):
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(dims))
+    r = run_cli("char", "--measured", str(path), "--N", "1")
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
 

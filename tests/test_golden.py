@@ -1,7 +1,9 @@
 """Byte-identical regeneration of the committed golden files.
 
 The golden directory holds small CLI outputs frozen at build time; any
-change in formatting, ordering, or values shows up as a diff here.
+change in formatting, ordering, or values shows up as a diff here.  Each
+case runs with and without `python -O`, which strips `assert` statements,
+so no output may depend on one.
 """
 
 import pathlib
@@ -19,10 +21,11 @@ CASES = {
 
 
 def test_golden_files_regenerate_exactly():
-    for name, argv in CASES.items():
-        want = (GOLDEN / name).read_text()
-        got = subprocess.run(
-            [sys.executable, "-m", "qcycle.cli"] + argv,
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert got == want, name
+    for python in ([sys.executable], [sys.executable, "-O"]):
+        for name, argv in CASES.items():
+            want = (GOLDEN / name).read_text()
+            got = subprocess.run(
+                python + ["-m", "qcycle.cli"] + argv,
+                capture_output=True, text=True, check=True,
+            ).stdout
+            assert got == want, (python, name)
