@@ -304,6 +304,14 @@ def _natural(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type for a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("%s is not positive" % text)
+    return value
+
+
 def build_parser():
     from .action import FAMILIES, SERIES_FAMILIES
 
@@ -318,7 +326,7 @@ def build_parser():
     pa.add_argument("--family", required=True, choices=FAMILIES)
     pa.add_argument("--k", type=int, default=0)
     pa.add_argument("--series", action="store_true")
-    pa.add_argument("--order", type=int, default=3)
+    pa.add_argument("--order", type=_natural, default=3)
     pa.add_argument("--in", dest="infile", required=True)
     pa.add_argument("--out")
     pa.set_defaults(fn=cmd_act)
@@ -386,8 +394,8 @@ def build_parser():
     pf.add_argument("--family", required=True, choices=SERIES_FAMILIES)
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--l", type=int, help="input degree; defaults to all applicable")
-    pf.add_argument("--samples", type=int, default=5)
-    pf.add_argument("--order", type=int, default=3)
+    pf.add_argument("--samples", type=_positive, default=5)
+    pf.add_argument("--order", type=_natural, default=3)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--out")
     pf.set_defaults(fn=cmd_oracle)

@@ -6,30 +6,16 @@ form a link when specializing the last slot to 1/z and the last two z
 variables to z, -z in the larger one reproduces the smaller one times
 z^(-n-1) prod_a (1 - X_a^2 z^2).  A tower with every consecutive pair linked
 is closed under the whole generator action, componentwise; this module
-builds the distinguished towers, checks links exactly, and extracts the
-interpolating slot polynomial that witnesses a link.
+builds the distinguished towers and decides links exactly through the
+residual of that identity.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import CycScalar
-from .laurent import (
-    LaurentPoly,
-    NonDivisibleError,
-    RationalFn,
-    _perm_sign,
-    exact_div,
-    negate_var,
-    substitute,
-    substitute_ratfn,
-    swap_vars,
-    zvar,
-)
+from .laurent import LaurentPoly, substitute_ratfn, zvar
 from .wedge import (
     WedgeElem,
-    Xvar,
     deg_infcycle,
     multiply_slot_square_product,
     proportionality_scalar,
@@ -80,10 +66,6 @@ def link_check(P_low: WedgeElem, P_high: WedgeElem) -> LinkPair:
     return LinkPair(P_low, P_high, True)
 
 
-def is_link(P_low: WedgeElem, P_high: WedgeElem) -> bool:
-    return link_residual(P_low, P_high).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # minimality
 # ---------------------------------------------------------------------------
@@ -107,142 +89,6 @@ def is_weakly_minimal(P: WedgeElem):
         P.specialize_slot(P.l, -zinv).specialize_slot(P.l - 1, zinv)
     )
     return res.is_zero(), (None if res.is_zero() else res)
-
-
-# ---------------------------------------------------------------------------
-# the interpolating slot polynomial of a link
-# ---------------------------------------------------------------------------
-
-
-class SlotInterpolant:
-    """The (l+1)-slot witness polynomial of a link, with its shape data."""
-
-    __slots__ = ("n", "l", "poly")
-
-    def __init__(self, n: int, l: int, poly: RationalFn):
-        self.n = n
-        self.l = l
-        self.poly = poly
-
-
-def _rename_to_last(poly_num: LaurentPoly, j: int, l_plus_1: int) -> LaurentPoly:
-    """Move slot variable j to the last position, shifting the tail down."""
-    if j == l_plus_1:
-        return poly_num
-    out = {}
-    for mono, coeff in poly_num.terms.items():
-        d = dict(mono)
-        moved = d.pop(Xvar(j), 0)
-        for m in range(j + 1, l_plus_1 + 1):
-            e = d.pop(Xvar(m), 0)
-            if e:
-                d[Xvar(m - 1)] = e
-        if moved:
-            d[Xvar(l_plus_1)] = moved
-        key = tuple(sorted(d.items()))
-        prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
-    return LaurentPoly(out)
-
-
-def extract_p_star(P_low: WedgeElem, P_high: WedgeElem) -> SlotInterpolant:
-    """Constructive witness: subtract the slot-power tower term, divide out
-    the (1 - X_a^2 z^2) factors, reassemble, and verify all its properties."""
-    n, l = P_low.n, P_low.l
-    link_check(P_low, P_high)
-    z = LaurentPoly.var("z")
-    zsq = z * z
-    one = LaurentPoly.one()
-
-    low_poly = P_low.to_poly()
-    high = _subst_z_tail(P_high).to_poly()
-    if low_poly.den or high.den:
-        raise ValueError("interpolant extraction expects polynomial coefficients")
-    low_num, high_num = low_poly.num, high.num
-
-    tower_num = _assemble_tower(low_num * LaurentPoly.var(Xvar(l + 1), n + 1), l, zsq)
-
-    q_num = high_num - tower_num
-    for a in range(1, l + 2):
-        try:
-            q_num = exact_div(q_num, one - LaurentPoly.var(Xvar(a), 2) * zsq)
-        except NonDivisibleError:
-            raise LinkViolation(high_num - tower_num)
-    inv = CycScalar(Fraction(1, l + 1))
-    star_num = (
-        low_num * LaurentPoly.var(Xvar(l + 1), n + 1)
-        + (one - LaurentPoly.var(Xvar(l + 1), 2) * zsq) * q_num.scale(inv)
-    )
-    out = SlotInterpolant(n, l, RationalFn.from_poly(star_num))
-    _validate_interpolant(out, P_low, high)
-    return out
-
-
-def _validate_interpolant(s: SlotInterpolant, P_low: WedgeElem, high: RationalFn):
-    n, l = s.n, s.l
-    num = s.poly.num
-    _check_skew_poly(num, l)
-    for a in range(1, l + 1):
-        if num.degree(Xvar(a)) > n - 1:
-            raise ArithmeticError("interpolant slot degree bound broken")
-    if num.degree(Xvar(l + 1)) > n + 1:
-        raise ArithmeticError("interpolant last-slot degree bound broken")
-    for j in range(1, n):
-        if swap_vars(num, zvar(j), zvar(j + 1)) != num:
-            raise ArithmeticError("interpolant is not z-symmetric")
-    if negate_var(num, "z") != num:
-        raise ArithmeticError("interpolant is not even in z")
-    # substitution of 1/z into the extra slot recovers the low component
-    low_back = substitute(num, {Xvar(l + 1): LaurentPoly.var("z", -1)})
-    target = P_low.to_poly() * RationalFn.from_poly(LaurentPoly.var("z", -n - 1))
-    if low_back != target:
-        raise ArithmeticError("interpolant does not restrict to the low component")
-    # skew assembly recovers the specialized high component
-    z = LaurentPoly.var("z")
-    back = RationalFn.from_poly(_assemble_tower(num, l, z * z))
-    if back != high:
-        raise ArithmeticError("interpolant does not assemble to the high component")
-
-
-def _check_skew_poly(num: LaurentPoly, l: int):
-    """Structural skewness of a polynomial in X1..Xl (slot-free coefficients)."""
-    if l <= 1:
-        return
-    table = {}
-    for mono, coeff in num.terms.items():
-        exps = [0] * l
-        rest = []
-        for name, e in mono:
-            if name.startswith("X") and name[1:].isdigit() and 1 <= int(name[1:]) <= l:
-                exps[int(name[1:]) - 1] = e
-            else:
-                rest.append((name, e))
-        table[(tuple(exps), tuple(rest))] = coeff
-    for (exps, rest), coeff in table.items():
-        if len(set(exps)) != l:
-            raise ArithmeticError("skew polynomial has a repeated slot exponent")
-        order = sorted(range(l), key=lambda a: exps[a])
-        sgn = _perm_sign(order)
-        skey = (tuple(sorted(exps)), rest)
-        ref = table.get(skey)
-        if ref is None or ref != (coeff if sgn > 0 else -coeff):
-            raise ArithmeticError("polynomial failed to be skew symmetric")
-
-
-def _assemble_tower(num: LaurentPoly, l: int, zsq: LaurentPoly) -> LaurentPoly:
-    """Multiply by prod_{a<=l} (1 - X_a^2 zsq), then skew-assemble the last slot.
-
-    The assembly is the alternating sum over moving slot l+1 into each of
-    the l+1 positions.
-    """
-    one = LaurentPoly.one()
-    for a in range(1, l + 1):
-        num = num * (one - LaurentPoly.var(Xvar(a), 2) * zsq)
-    out = LaurentPoly.zero()
-    for j in range(1, l + 2):
-        term = _rename_to_last(num, j, l + 1)
-        out = out + (-term if (l + 1 - j) % 2 else term)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,8 @@ def _set_components(s: CycScalar, comps: tuple) -> None:
     if all(type(x) is int for x in comps):
         s.n, s.d = comps, 1
         return
+    if not all(isinstance(x, (int, Fraction)) for x in comps):
+        raise TypeError("Q(zeta_8) components must be int or Fraction, got %r" % (comps,))
     fracs = [Fraction(x) for x in comps]
     # over the lcm of lowest-terms denominators the result is in lowest terms
     d = lcm(*(x.denominator for x in fracs))

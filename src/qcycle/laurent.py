@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import operator
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 
 from .cyclotomic import CycScalar
 
@@ -1007,41 +1007,40 @@ def frobenius_to_partition(alpha, beta):
 
 
 def schur(n: int, partition) -> LaurentPoly:
-    """Schur polynomial s_lambda(z1..zn) via the bialternant ratio."""
+    """Schur polynomial s_lambda(z1..zn) by the dual Jacobi-Trudi determinant.
+
+    s_lambda = det(e_{lambda'_i - i + j}), expanded along its first row; the
+    minor on the remaining rows and a column set is computed once per set.
+    """
     lam = list(partition)
     while lam and lam[-1] == 0:
         lam.pop()
     if len(lam) > n:
         return LaurentPoly.zero()
-    lam = lam + [0] * (n - len(lam))
-    powers = [lam[j] + n - 1 - j for j in range(n)]
-    out = monomial_det([zvar(i) for i in range(1, n + 1)], powers)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = exact_div(out, LaurentPoly.var(zvar(i)) - LaurentPoly.var(zvar(j)))
-    return out
+    conj = [sum(1 for x in lam if x > i) for i in range(lam[0] if lam else 0)]
+    size = len(conj)
+    elem = [sym_elementary(n, k) for k in range(n + 1)]
+    minors = {(): LaurentPoly.one()}
+
+    def minor(cols):
+        # the determinant on the last len(cols) rows and the columns cols
+        got = minors.get(cols)
+        if got is None:
+            i = size - len(cols)
+            got = LaurentPoly.zero()
+            for pos, j in enumerate(cols):
+                k = conj[i] - i + j
+                if 0 <= k <= n:
+                    term = elem[k] * minor(cols[:pos] + cols[pos + 1:])
+                    got = got - term if pos % 2 else got + term
+            minors[cols] = got
+        return got
+
+    return minor(tuple(range(size)))
 
 
 def schur_frobenius(n: int, alpha, beta) -> LaurentPoly:
     return schur(n, frobenius_to_partition(alpha, beta))
-
-
-def monomial_det(names, powers) -> LaurentPoly:
-    """det(names[b] ** powers[a]) expanded over permutations."""
-    out = {}
-    for perm in permutations(range(len(powers))):
-        mono = tuple(sorted((names[perm[a]], e) for a, e in enumerate(powers) if e))
-        out[mono] = out.get(mono, 0) + _perm_sign(perm)
-    return LaurentPoly(out)
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def swap_vars(p: LaurentPoly, a: str, b: str) -> LaurentPoly:

@@ -6,7 +6,7 @@ module closes that orbit under the generator list, with incremental row
 reduction per bigraded component, and measures the dimensions that the
 character formulas predict.  The null-cycle subspace is spanned by the images
 of the two zero-mode lowering operators and is handled over the rational
-function field with fraction-free elimination.
+function field by Gauss-Jordan elimination (laurent.gauss_jordan).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cyclotomic import CycScalar, I
-from .laurent import LaurentPoly, RationalFn, exact_div, gauss_jordan
+from .laurent import LaurentPoly, RationalFn, gauss_jordan
 from .wedge import BiGrading, WedgeElem, bigrade
 from .action import GenMode, act_series, apply_mode, atilde
 from .cycles import InfCycle, map_tower
@@ -229,32 +229,6 @@ def _as_matrix(elems, n, l):
 
 
 _ZERO = RationalFn.from_poly(LaurentPoly.zero())
-
-
-def bareiss_rank(m) -> int:
-    m = [list(r) for r in m]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = LaurentPoly.one()
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if not m[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, len(m)):
-            for c in range(col + 1, ncols):
-                num = m[r][c] * m[row][col] - m[r][col] * m[row][c]
-                m[r][c] = exact_div(num, prev) if not num.is_zero() else num
-            m[r][col] = LaurentPoly.zero()
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
 
 
 def solve_ratfn(rows, rhs):

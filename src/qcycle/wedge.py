@@ -6,8 +6,8 @@ rational function field over z1..zn (plus auxiliary variables z, t while
 computing).  The basis vector attached to an increasing subset
 S = (s1 < ... < sl) of {0..n-1} is the determinant det(X_b^{s_a}); elements
 are stored as maps from subsets to coefficients, so skew symmetry is
-structural.  The expanded polynomial form is used transiently for
-substitutions and comparisons.
+structural, and slot substitutions act on the subsets by cofactor expansion
+without ever expanding the determinants.
 """
 
 from __future__ import annotations
@@ -18,17 +18,11 @@ from .cyclotomic import CycScalar
 from .laurent import (
     LaurentPoly,
     RationalFn,
-    _perm_sign,
     _ratfn,
     exact_div,
     is_symmetric,
-    monomial_det,
     zvar,
 )
-
-
-def Xvar(a: int) -> str:
-    return "X%d" % a
 
 
 def _coeff(c) -> RationalFn:
@@ -208,14 +202,7 @@ class WedgeElem(SubsetTerms):
             out.terms = subset_product(self.terms, other.terms)
         return out
 
-    # -- expanded polynomial form -------------------------------------------
-
-    def to_poly(self) -> RationalFn:
-        """The skew-symmetric polynomial in X1..Xl (denominator slot-free)."""
-        total = RationalFn.from_poly(LaurentPoly.zero())
-        for subset, coeff in self.terms.items():
-            total = total + coeff * RationalFn.from_poly(_basis_det(subset))
-        return total
+    # -- slot specialization -------------------------------------------------
 
     def specialize_slot(self, slot: int, value) -> "WedgeElem":
         """Substitute `value` into slot `slot` (1-based); remaining slots close up.
@@ -268,51 +255,6 @@ class WedgeElem(SubsetTerms):
         return all(is_symmetric(c, self.n) for c in coeffs.values())
 
 
-_DET_CACHE = {}
-
-
-def _basis_det(subset) -> LaurentPoly:
-    key = tuple(subset)
-    cached = _DET_CACHE.get(key)
-    if cached is None:
-        cached = _DET_CACHE[key] = monomial_det([Xvar(b) for b in range(1, len(key) + 1)], key)
-    return cached
-
-
-def skew_collect(poly, n: int, l: int) -> WedgeElem:
-    """Full skew-symmetrization of an arbitrary polynomial in X1..Xl.
-
-    Each monomial with distinct slot exponents contributes the sign of its
-    sorting permutation times the corresponding basis determinant; repeated
-    exponents die.  For f already skew this returns l! times f.
-    """
-    poly = poly if isinstance(poly, RationalFn) else RationalFn.from_poly(poly)
-    num, den = poly.num, poly.den
-    acc = {}
-    for mono, coeff in num.terms.items():
-        exps = [0] * l
-        rest = {}
-        for name, e in mono:
-            if name.startswith("X") and name[1:].isdigit() and 1 <= int(name[1:]) <= l:
-                exps[int(name[1:]) - 1] = e
-            else:
-                rest[name] = e
-        if len(set(exps)) != l:
-            continue
-        order = sorted(range(l), key=lambda a: exps[a])
-        sign = _perm_sign(order)
-        key = tuple(sorted(exps))
-        if key and key[-1] > n - 1:
-            raise ValueError("slot degree %d exceeds bound %d" % (key[-1], n - 1))
-        if key and key[0] < 0:
-            raise ValueError("negative slot exponent")
-        restm = tuple(sorted(rest.items()))
-        add_term(acc, key, LaurentPoly.monomial(restm, coeff if sign > 0 else -coeff))
-    out = WedgeElem(n, l)
-    out.terms = {key: RationalFn(c, den) for key, c in acc.items()}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -330,15 +272,6 @@ def theta_at(n: int, value) -> LaurentPoly:
 
 def theta(n: int, var: str = "t") -> LaurentPoly:
     return theta_at(n, LaurentPoly.var(var))
-
-
-def theta2_at(n: int, v1, v2) -> LaurentPoly:
-    """Two-argument kernel: Theta(v1)Theta(v2) - Theta(-v1)Theta(-v2)."""
-    if not isinstance(v1, LaurentPoly):
-        v1 = LaurentPoly.const(v1)
-    if not isinstance(v2, LaurentPoly):
-        v2 = LaurentPoly.const(v2)
-    return theta_at(n, v1) * theta_at(n, v2) - theta_at(n, -v1) * theta_at(n, -v2)
 
 
 _KERNEL_CACHE = {}

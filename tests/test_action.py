@@ -29,9 +29,9 @@ from qcycle.action import (
     xminus,
     xplus,
 )
-from qcycle.wedge import WedgeElem, Xvar, skew_collect, theta, theta_at
+from qcycle.wedge import WedgeElem, theta, theta_at
 
-from conftest import random_wedge
+from conftest import Xvar, random_wedge, skew_collect, to_poly
 
 one = LaurentPoly.one()
 
@@ -106,7 +106,7 @@ def _a_series_by_expansion(family, P, point, order):
     t = LaurentPoly.var("t")
     th_t = theta(n)
     th_m = negate_var(th_t, "t")
-    poly = P.to_poly()
+    poly = to_poly(P)
     num, den = poly.num, poly.den
     diag = LaurentPoly.zero()
     for j in range(1, n + 1):

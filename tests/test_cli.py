@@ -206,8 +206,13 @@ def test_malformed_element_exits_2(tmp_path, elem):
     ["orbit", "--N", "1", "--deg", "-1"],
     ["act", "--family", "t1", "--series", "--in", "ELEM"],
     ["act", "--family", "aplus", "--k", "0", "--in", "ELEM"],
+    ["act", "--family", "xminus", "--series", "--order", "-1", "--in", "ELEM"],
+    ["oracle", "--family", "xminus", "--n", "2", "--l", "1", "--samples", "-1"],
+    ["oracle", "--family", "xminus", "--n", "2", "--l", "1", "--samples", "0"],
+    ["oracle", "--family", "xminus", "--n", "2", "--order", "-1"],
 ], ids=["act-family", "oracle-t1", "oracle-family", "orbit-N", "orbit-deg",
-        "act-series-t1", "act-aplus-k0"])
+        "act-series-t1", "act-aplus-k0", "act-order-negative", "oracle-samples-negative",
+        "oracle-samples-zero", "oracle-order-negative"])
 def test_bad_arguments_exit_2(tmp_path, argv):
     path = tmp_path / "elem.json"
     path.write_text(json.dumps(_element()))

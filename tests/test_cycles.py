@@ -11,8 +11,6 @@ from qcycle.cycles import (
     act_on_cycle,
     distinguished_cycle,
     example_towers,
-    extract_p_star,
-    is_link,
     is_minimal,
     is_weakly_minimal,
     link_check,
@@ -46,7 +44,7 @@ def test_link_scaling_invariance():
     t = distinguished_cycle(1, 5)
     low = t.components[1].scaled(3)
     high = t.components[3].scaled(3)
-    assert is_link(low, high)
+    assert link_residual(low, high).is_zero()
 
 
 def test_zero_low_link_is_minimality():
@@ -55,10 +53,10 @@ def test_zero_low_link_is_minimality():
     zero0 = WedgeElem(0, 0)
     minimal = WedgeElem(2, 1, {(0,): e1})
     assert is_minimal(minimal)[0]
-    assert is_link(zero0, minimal)
+    assert link_residual(zero0, minimal).is_zero()
     not_minimal = WedgeElem.monomial_wedge(2, (1,))
     assert not is_minimal(not_minimal)[0]
-    assert not is_link(zero0, not_minimal)
+    assert not link_residual(zero0, not_minimal).is_zero()
 
 
 def test_minimality_examples():
@@ -85,29 +83,6 @@ def test_minimality_examples():
     assert is_weakly_minimal(WedgeElem.unit(3))[0]
 
 
-def test_extract_interpolant_base_case():
-    t = distinguished_cycle(0, 2)
-    s = extract_p_star(t.components[0], t.components[2])
-    assert s.poly.num == LaurentPoly.var("X1")
-    assert s.poly.num.degree("X1") <= 1
-
-
-def test_extract_interpolant_zero_low():
-    # with a zero low component the tower term drops and only the divided
-    # remainder survives; at n = 0 the z-specialized high component vanishes
-    # identically, so the witness is the zero polynomial and still validates
-    e1 = sym_elementary(2, 1)
-    minimal = WedgeElem(2, 1, {(0,): e1})
-    s = extract_p_star(WedgeElem(0, 0), minimal)
-    assert s.poly.is_zero()
-
-
-def test_extract_interpolant_ladder():
-    t = distinguished_cycle(1, 5)
-    s = extract_p_star(t.components[3], t.components[5])
-    assert s.poly.num.degree("X3") <= 4
-
-
 def test_link_violation_reports_witness():
     bad_high = WedgeElem.monomial_wedge(2, (0,))
     with pytest.raises(LinkViolation):
@@ -121,7 +96,7 @@ def test_link_implies_weak_minimality():
         cyc = act_on_cycle([xminus(1), atilde(1)], base)
         ns = cyc.indices()
         for lo, hi in zip(ns, ns[1:]):
-            assert is_link(cyc.components[lo], cyc.components[hi])
+            assert link_residual(cyc.components[lo], cyc.components[hi]).is_zero()
             assert is_weakly_minimal(cyc.components[lo])[0]
             assert is_weakly_minimal(cyc.components[hi])[0]
 

@@ -92,6 +92,15 @@ def test_divide_by_zero():
         CycScalar.one() / CycScalar.zero()
 
 
+def test_rejects_float_and_string_components():
+    # the field is exact: only int and Fraction components are accepted
+    for make in (lambda: CycScalar(0.1), lambda: CycScalar("2/3"),
+                 lambda: CycScalar.from_components((0.5, 0, 0, 0))):
+        with pytest.raises(TypeError):
+            make()
+    assert parse_scalar("2/3 - w") == CycScalar.from_components((Fraction(2, 3), -1, 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # differential test: integer numerators over one denominator against the
 # previous four-Fraction representation

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,8 @@ from qcycle.laurent import (
     sym_elementary,
     sym_power,
 )
+
+from conftest import bialternant_schur
 
 z1 = LaurentPoly.var("z1")
 z2 = LaurentPoly.var("z2")
@@ -159,30 +162,6 @@ def test_frobenius_hook_column():
         assert col == sym_elementary(n, 2 * a + 1)
 
 
-def _jacobi_trudi_e(n, lam):
-    """Dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) as an oracle."""
-    conj = []
-    if lam:
-        for row in range(1, max(lam) + 1):
-            conj.append(sum(1 for x in lam if x >= row))
-    size = len(conj)
-    if size == 0:
-        return LaurentPoly.one()
-    from itertools import permutations
-    total = LaurentPoly.zero()
-    for perm in permutations(range(size)):
-        sign = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = LaurentPoly.const(sign)
-        for i in range(size):
-            prod = prod * sym_elementary(n, conj[i] - (i + 1) + (perm[i] + 1))
-        total = total + prod
-    return total
-
-
 def test_schur_matches_jacobi_trudi_in_box():
     parts = []
     for a in range(0, 5):
@@ -192,6 +171,14 @@ def test_schur_matches_jacobi_trudi_in_box():
                     lam = [x for x in (a, b, c, d) if x]
                     if lam not in parts:
                         parts.append(lam)
-    for n in (2, 3, 4):
-        for lam in parts:
-            assert schur(n, lam) == _jacobi_trudi_e(n, lam), lam
+    # schur is the dual Jacobi-Trudi determinant; the bialternant is the reference
+    cases = [(n, lam) for n in (2, 3, 4) for lam in parts]
+    # the partitions of the closed Schur-form towers that criterion 10 reaches
+    for k, l_max in ((1, 2), (2, 1)):
+        for l in range(l_max + 1):
+            for combo in combinations(range(k + l), k):
+                alpha = [2 * (k - 1 - i) for i in range(k)]
+                beta = [2 * a for a in reversed(combo)]
+                cases.append((2 * k + 2 * l, frobenius_to_partition(alpha, beta)))
+    for n, lam in cases:
+        assert schur(n, lam) == bialternant_schur(n, lam), (n, lam)

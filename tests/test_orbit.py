@@ -1,12 +1,10 @@
 import random
 
 from qcycle.cyclotomic import CycScalar, I
-from qcycle.laurent import LaurentPoly
 from qcycle.action import GenMode, apply_mode, xminus, xplus
 from qcycle.cycles import is_minimal, example_towers
 from qcycle.orbit import (
     SparseRref,
-    bareiss_rank,
     generate_W,
     member_mod_null,
     null_contains,
@@ -109,15 +107,6 @@ def test_null_layer_spans_slot_vanishing_subspace():
     for s in ((1, 2), (1, 3), (2, 3)):
         assert null_contains(WedgeElem.monomial_wedge(4, s), gens), s
     assert not null_contains(WedgeElem.monomial_wedge(4, (0, 1)), gens)
-
-
-def test_bareiss_rank_small():
-    one = LaurentPoly.one()
-    z1 = LaurentPoly.var("z1")
-    rows = [[one, z1], [z1, z1 * z1]]
-    assert bareiss_rank(rows) == 1
-    rows = [[one, z1], [z1, one]]
-    assert bareiss_rank(rows) == 2
 
 
 def test_energy_momentum_mod_null():

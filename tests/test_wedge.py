@@ -22,11 +22,10 @@ from qcycle.wedge import (
     kernel_F2,
     kernel_coeffs_X,
     multiply_slot_square_product,
-    skew_collect,
     theta,
-    theta2_at,
-    Xvar,
 )
+
+from conftest import Xvar, skew_collect, to_poly
 
 one = LaurentPoly.one()
 z1 = LaurentPoly.var("z1")
@@ -61,7 +60,7 @@ def test_skew_idempotent_scaling():
         mono = tuple((Xvar(a + 1), rng.randint(0, 3)) for a in range(l))
         f = f + LaurentPoly.monomial(tuple((n, e) for n, e in mono if e), rng.randint(-2, 2))
     once = skew_collect(f, 4, l)
-    twice = skew_collect(once.to_poly(), 4, l)
+    twice = skew_collect(to_poly(once), 4, l)
     assert twice == once.map_coeffs(lambda c: c * 6)
 
 
@@ -106,11 +105,6 @@ def test_wedge_overflow_is_zero():
 def test_theta_basics():
     th = theta(2, "X")
     assert th == one - sym_elementary(2, 1) * X + sym_elementary(2, 2) * X ** 2
-    n = 3
-    X1, X2 = LaurentPoly.var("X1"), LaurentPoly.var("X2")
-    assert theta2_at(n, X1, X2) == -theta2_at(n, -X1, -X2)
-    got = theta2_at(2, LaurentPoly.zero(), -X)
-    assert got == 2 * sym_elementary(2, 1) * X
 
 
 def test_kernel_F_small():
@@ -155,7 +149,7 @@ def _specialize_by_expansion(P, slot, value):
     bindings = {Xvar(slot): value}
     for j in range(slot + 1, P.l + 1):
         bindings[Xvar(j)] = LaurentPoly.var(Xvar(j - 1))
-    res = skew_collect(substitute_ratfn(P.to_poly(), bindings), P.n, P.l - 1)
+    res = skew_collect(substitute_ratfn(to_poly(P), bindings), P.n, P.l - 1)
     inv = CycScalar(Fraction(1, math.factorial(P.l - 1)))
     return res.map_coeffs(lambda c: c * inv)
 
@@ -186,7 +180,7 @@ def test_slot_square_product_matches_expansion():
             factor = one
             for a in range(1, l + 1):
                 factor = factor * (one - LaurentPoly.var(Xvar(a), 2) * zsq)
-            want = skew_collect(P.to_poly() * RationalFn.from_poly(factor), n + 2, l)
+            want = skew_collect(to_poly(P) * RationalFn.from_poly(factor), n + 2, l)
             inv = CycScalar(Fraction(1, math.factorial(l)))
             got = multiply_slot_square_product(P, zsq)
             assert (got.n, got.l) == (n + 2, l)
