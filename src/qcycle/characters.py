@@ -1,111 +1,55 @@
 """Exact bivariate q, z series: level-one characters, their polynomial
 finitizations, and the product identity for the truncated tower spaces.
 
-Quarter-integer q-exponents are stored as integers scaled by four.  Series
-are plain exact coefficient dictionaries; each verification routine states
+A series is a LaurentPoly in two Laurent variables: q4, which stands for
+q^(1/4), so quarter-integer q-exponents become integer powers of q4, and z.
+Its coefficients are rational CycScalars.  Each verification routine states
 the window on which its construction is exact and compares there.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from .cyclotomic import CycScalar
+from .laurent import LaurentPoly, invert_var
 
-class QZSeries:
-    """Exact coefficients (4*q-exponent, z-exponent) -> Fraction."""
 
-    __slots__ = ("coeffs",)
+def _mono(q4: int, z: int) -> tuple:
+    return tuple((name, e) for name, e in (("q4", q4), ("z", z)) if e)
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                val = Fraction(val)
-                if val:
-                    self.coeffs[key] = val
 
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
+def _exps(mono) -> tuple:
+    d = dict(mono)
+    return d.get("q4", 0), d.get("z", 0)
 
-    @classmethod
-    def monomial(cls, q4: int, z: int, coeff=1):
-        return cls({(q4, z): coeff})
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return QZSeries(out)
+def qz(q4: int, z: int = 0) -> LaurentPoly:
+    """The monomial q^(q4/4) z^z."""
+    return LaurentPoly.monomial(_mono(q4, z))
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
-    def __mul__(self, other):
-        out = {}
-        for (q1, z1), v1 in self.coeffs.items():
-            for (q2, z2), v2 in other.coeffs.items():
-                key = (q1 + q2, z1 + z2)
-                nv = out.get(key, 0) + v1 * v2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        return QZSeries(out)
+def coeff(s: LaurentPoly, q4: int, z: int) -> CycScalar:
+    """The coefficient of q^(q4/4) z^z in s."""
+    return s.terms.get(_mono(q4, z), CycScalar.zero())
 
-    def scale(self, c):
-        c = Fraction(c)
-        return QZSeries({k: v * c for k, v in self.coeffs.items()})
 
-    def shift(self, q4: int, z: int = 0):
-        return QZSeries({(q + q4, zz + z): v for (q, zz), v in self.coeffs.items()})
+def window(s: LaurentPoly, q4_lo=None, q4_hi=None, zmax=None) -> LaurentPoly:
+    """The terms of s with q4_lo <= 4*(q-exponent) <= q4_hi and |z-exponent| <= zmax."""
+    out = {}
+    for mono, c in s.terms.items():
+        q4, z = _exps(mono)
+        if ((q4_lo is None or q4 >= q4_lo) and (q4_hi is None or q4 <= q4_hi)
+                and (zmax is None or abs(z) <= zmax)):
+            out[mono] = c
+    return LaurentPoly(out)
 
-    def flip_q(self):
-        return QZSeries({(-q, z): v for (q, z), v in self.coeffs.items()})
 
-    def restrict(self, q4_lo=None, q4_hi=None, zmax=None):
-        out = {}
-        for (q, z), v in self.coeffs.items():
-            if q4_lo is not None and q < q4_lo:
-                continue
-            if q4_hi is not None and q > q4_hi:
-                continue
-            if zmax is not None and abs(z) > zmax:
-                continue
-            out[(q, z)] = v
-        return QZSeries(out)
-
-    def coeff(self, q4: int, z: int) -> Fraction:
-        return self.coeffs.get((q4, z), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, QZSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("QZSeries is unhashable")
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def table(self):
-        """Sorted [(q-exponent string, z, coefficient string)] rows."""
-        rows = []
-        for (q4, z) in sorted(self.coeffs):
-            q = Fraction(q4, 4)
-            rows.append((str(q), z, str(self.coeffs[(q4, z)])))
-        return rows
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (q4, z) in sorted(self.coeffs):
-            parts.append("%s q^%s z^%d" % (self.coeffs[(q4, z)], Fraction(q4, 4), z))
-        return " + ".join(parts)
+def table(s: LaurentPoly) -> list:
+    """Rows (q-exponent string, z, coefficient string), sorted by (4q, z)."""
+    rows = sorted((_exps(mono), str(c)) for mono, c in s.terms.items())
+    return [(str(Fraction(q4, 4)), z, c) for (q4, z), c in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +57,10 @@ class QZSeries:
 # ---------------------------------------------------------------------------
 
 
-def gauss_binom(m: int, k: int, inverse: bool = False) -> QZSeries:
-    """The q-binomial coefficient; zero outside 0 <= k <= m.
-
-    With inverse=True the variable is q^(-1).
-    """
+def gauss_binom(m: int, k: int) -> LaurentPoly:
+    """The q-binomial coefficient; zero outside 0 <= k <= m."""
     if not 0 <= k <= m:
-        return QZSeries()
+        return LaurentPoly()
     # recurrence [m k] = [m-1 k-1] + q^k [m-1 k] with integer coefficients
     row = {0: {0: 1}}
     for mm in range(1, m + 1):
@@ -132,29 +73,27 @@ def gauss_binom(m: int, k: int, inverse: bool = False) -> QZSeries:
                 d[e + kk] = d.get(e + kk, 0) + c
             new[kk] = d
         row = new
-    poly = row.get(k, {})
-    sign = -1 if inverse else 1
-    return QZSeries({(4 * e * sign, 0): c for e, c in poly.items()})
+    return LaurentPoly({_mono(4 * e, 0): c for e, c in row.get(k, {}).items()})
 
 
-def qpoch_finite(n: int) -> QZSeries:
+def qpoch_finite(n: int) -> LaurentPoly:
     """(q)_n = prod_{j=1..n} (1 - q^j)."""
-    out = QZSeries.one()
+    out = LaurentPoly.one()
     for j in range(1, n + 1):
-        out = out * (QZSeries.one() - QZSeries.monomial(4 * j, 0))
+        out = out * (1 - qz(4 * j))
     return out
 
 
-def inv_qpoch_finite(n: int, qmax: int) -> QZSeries:
+def inv_qpoch_finite(n: int, qmax: int) -> LaurentPoly:
     """1/(q)_n, exact through q^qmax."""
-    out = QZSeries.one()
+    out = LaurentPoly.one()
     for j in range(1, n + 1):
-        geom = QZSeries({(4 * j * k, 0): 1 for k in range(qmax // j + 1)})
-        out = (out * geom).restrict(q4_hi=4 * qmax)
+        geom = LaurentPoly({_mono(4 * j * k, 0): 1 for k in range(qmax // j + 1)})
+        out = window(out * geom, q4_hi=4 * qmax)
     return out
 
 
-def inv_qpoch_inf(qmax: int) -> QZSeries:
+def inv_qpoch_inf(qmax: int) -> LaurentPoly:
     """1/(q)_infinity (the partition series), exact through q^qmax."""
     return inv_qpoch_finite(qmax, qmax)
 
@@ -164,42 +103,39 @@ def inv_qpoch_inf(qmax: int) -> QZSeries:
 # ---------------------------------------------------------------------------
 
 
-def level1_char(i: int, qmax: int, zmax: int) -> QZSeries:
+def level1_char(i: int, qmax: int, zmax: int) -> LaurentPoly:
     """Level-one character: (q)_inf^-1 sum over m = i mod 2 of q^(m^2/4) z^m.
 
     Exact on q-exponent <= qmax, |z-exponent| <= zmax.
     """
     if i not in (0, 1):
         raise ValueError("sector must be 0 or 1")
-    out = QZSeries()
+    out = LaurentPoly()
     inv = inv_qpoch_inf(qmax)
-    bound = zmax + 2 * int(qmax ** 0.5) + 4
+    bound = zmax + 2 * math.isqrt(qmax) + 4
     for m in range(-bound, bound + 1):
         if (m - i) % 2:
             continue
         if m * m > 4 * qmax and abs(m) > zmax:
             continue
-        out = out + inv.shift(m * m, m)
-    return out.restrict(q4_hi=4 * qmax, zmax=zmax)
+        out = out + inv * qz(m * m, m)
+    return window(out, q4_hi=4 * qmax, zmax=zmax)
 
 
-def demazure_char(i: int, L2: int, qmax: int | None = None) -> QZSeries:
+def demazure_char(i: int, L2: int) -> LaurentPoly:
     """Polynomial finitization: sum of binom(2L, L + m/2) q^(m^2/4) z^m.
 
     L2 is twice the level cutoff; the sector parity must match it.
     """
     if L2 < 0 or i not in (0, 1) or (i - L2) % 2:
         raise ValueError("sector parity must match the cutoff parity")
-    out = QZSeries()
+    out = LaurentPoly()
     for mm in range(-L2, L2 + 1):
         if (mm - i) % 2:
             continue
         # L + m/2 = (L2 + mm)/2
         bot = (L2 + mm) // 2
-        b = gauss_binom(L2, bot)
-        out = out + b.shift(mm * mm, mm)
-    if qmax is not None:
-        out = out.restrict(q4_hi=4 * qmax)
+        out = out + gauss_binom(L2, bot) * qz(mm * mm, mm)
     return out
 
 
@@ -213,14 +149,11 @@ def stabilization_report(i: int) -> dict:
     full = level1_char(i, q_levels + z_window * z_window, z_window)
     L2 = 2 * (q_levels + z_window + 3) + (i % 2)
     fin = demazure_char(i, L2)
-    window = []
-    for (q4, z), v in full.coeffs.items():
-        if abs(z) <= z_window and q4 <= 4 * q_levels:
-            window.append(((q4, z), v))
-    with_factor = all(fin.coeff(q4, z) == v for (q4, z), v in window)
-    bare = QZSeries({(m * m, m): 1 for m in range(-z_window, z_window + 1)
-                     if (m - i) % 2 == 0})
-    without_factor = all(fin.coeff(q4, z) == bare.coeff(q4, z) for (q4, z), _ in window)
+    keys = [_exps(mono) for mono in window(full, q4_hi=4 * q_levels, zmax=z_window).terms]
+    with_factor = all(coeff(fin, *key) == coeff(full, *key) for key in keys)
+    bare = sum((qz(m * m, m) for m in range(-z_window, z_window + 1) if (m - i) % 2 == 0),
+               LaurentPoly())
+    without_factor = all(coeff(fin, *key) == coeff(bare, *key) for key in keys)
     return {
         "sector": i,
         "limit_includes_partition_factor": with_factor,
@@ -233,12 +166,11 @@ def stabilization_report(i: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def zpoch_tail(l: int, qmax: int, zmax: int) -> QZSeries:
+def zpoch_tail(l: int, qmax: int, zmax: int) -> LaurentPoly:
     """(q^(l+1) z)_infinity, exact for q-exponent <= qmax and z-degree <= zmax."""
-    out = QZSeries.one()
+    out = LaurentPoly.one()
     for j in range(l + 1, qmax + 1):
-        out = out * (QZSeries.one() - QZSeries.monomial(4 * j, 1))
-        out = out.restrict(q4_hi=4 * qmax, zmax=zmax)
+        out = window(out * (1 - qz(4 * j, 1)), q4_hi=4 * qmax, zmax=zmax)
     return out
 
 
@@ -250,26 +182,23 @@ def sum_identity_report(L2: int, qmax: int = 8, zmax: int = 6) -> dict:
     the window q-exponent in [-L^2 - qmax, qmax], z-degree <= zmax.
     """
     q4_lo = -(L2 * L2) - 4 * qmax
-    lhs = QZSeries()
+    lhs = LaurentPoly()
     for l in range(0, zmax + 1):
         shift4 = 4 * l * l - 2 * l * L2 * 2  # 4 * l(l - 2L)
         head = zpoch_tail(l, qmax + L2 * L2, zmax - l)
-        piece = head * inv_qpoch_finite(l, qmax + L2 * L2)
-        piece = piece.shift(shift4, l)
-        lhs = lhs + piece
-    rhs = QZSeries()
+        lhs = lhs + head * inv_qpoch_finite(l, qmax + L2 * L2) * qz(shift4, l)
+    rhs = LaurentPoly()
     for s in range(0, zmax + 1):
-        b = gauss_binom(L2, s, inverse=True)
-        rhs = rhs + b.shift(0, s)
-    window = dict(q4_lo=q4_lo, q4_hi=4 * qmax, zmax=zmax)
-    left = lhs.restrict(**window)
-    right = rhs.restrict(**window)
+        rhs = rhs + invert_var(gauss_binom(L2, s), "q4") * qz(0, s)
+    box = dict(q4_lo=q4_lo, q4_hi=4 * qmax, zmax=zmax)
+    left = window(lhs, **box)
+    right = window(rhs, **box)
     return {
         "L2": L2,
-        "window": window,
+        "window": box,
         "passed": left == right,
-        "lhs_terms": len(left.coeffs),
-        "rhs_terms": len(right.coeffs),
+        "lhs_terms": len(left.terms),
+        "rhs_terms": len(right.terms),
     }
 
 
@@ -278,32 +207,27 @@ def sum_identity_report(L2: int, qmax: int = 8, zmax: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def minimal_char(N: int, qmax: int) -> QZSeries:
+def minimal_char(N: int, qmax: int) -> LaurentPoly:
     """q^(N^2/4) (q)_N^-1 sum_l binom(N, l) z^(N-2l), in inverted-q form.
 
     This is the character of the length-N minimal space with the grading read
     through q -> q^-1, so it has positive q-exponents; exact through qmax.
     """
-    out = QZSeries()
+    out = LaurentPoly()
     inv = inv_qpoch_finite(N, qmax)
     for l in range(0, N + 1):
-        piece = gauss_binom(N, l) * inv
-        out = out + piece.shift(0, N - 2 * l)
-    return out.shift(N * N).restrict(q4_hi=4 * qmax + N * N)
+        out = out + gauss_binom(N, l) * inv * qz(0, N - 2 * l)
+    return window(out * qz(N * N), q4_hi=4 * qmax + N * N)
 
 
-def measured_char(dims: dict, N: int) -> QZSeries:
+def measured_char(dims: dict, N: int) -> LaurentPoly:
     """Character assembled from measured orbit dimensions.
 
     dims maps (deg0, weight) to dimension; exponents follow the same
     inverted-q convention as minimal_char, so the two are directly comparable
     through q-exponent N^2/4 + max measured deg0.
     """
-    out = {}
-    for (d, m), dim in dims.items():
-        key = (N * N + 4 * d, m)
-        out[key] = out.get(key, 0) + dim
-    return QZSeries(out)
+    return LaurentPoly({_mono(N * N + 4 * d, m): dim for (d, m), dim in dims.items()})
 
 
 def char_match_report(N: int, D: int, dims: dict) -> dict:
@@ -311,9 +235,9 @@ def char_match_report(N: int, D: int, dims: dict) -> dict:
     measured = measured_char(dims, N)
     formula = minimal_char(N, D + N * N // 4 + 1)
     hi = N * N + 4 * D
-    ok = measured.restrict(q4_hi=hi) == formula.restrict(q4_hi=hi)
+    ok = window(measured, q4_hi=hi) == window(formula, q4_hi=hi)
     return {"N": N, "D": D, "passed": ok,
-            "measured_terms": len(measured.coeffs)}
+            "measured_terms": len(measured.terms)}
 
 
 def char_product_report(L2: int, i: int, depth: int = 3, zmax: int = 4,
@@ -343,19 +267,17 @@ def char_product_report(L2: int, i: int, depth: int = 3, zmax: int = 4,
         return {"L2": L2, "sector": i, "passed": False,
                 "reason": "window needs lengths beyond N_max"}
 
-    lhs = QZSeries()
+    lhs = LaurentPoly()
     for N in range(i, N_max + 1, 2):
         need = depth + (N * L2 + 1) // 2 + 1
-        per = minimal_char(N, need).flip_q()
-        per = per.shift(2 * N * L2)  # q^(N L) twist from the z-product scaling
-        lhs = lhs + per
-    lhs = lhs.restrict(q4_lo=q4_lo, zmax=zmax)
+        # q^(N L) twist from the z-product scaling
+        lhs = lhs + invert_var(minimal_char(N, need), "q4") * qz(2 * N * L2)
+    lhs = window(lhs, q4_lo=q4_lo, zmax=zmax)
 
     dem = demazure_char(j, L2)
-    dem_top = max((q for q, _ in dem.coeffs), default=0)
-    chi_depth = depth + (dem_top + 3) // 4 + 1
-    chi = level1_char(chi_sector, chi_depth, zmax + L2).flip_q()
-    rhs = (chi * dem).restrict(q4_lo=q4_lo, zmax=zmax)
+    chi_depth = depth + (dem.degree("q4") + 3) // 4 + 1
+    chi = invert_var(level1_char(chi_sector, chi_depth, zmax + L2), "q4")
+    rhs = window(chi * dem, q4_lo=q4_lo, zmax=zmax)
     return {
         "L2": L2,
         "sector": i,
@@ -363,6 +285,6 @@ def char_product_report(L2: int, i: int, depth: int = 3, zmax: int = 4,
         "level_one_sector": chi_sector,
         "window": {"q4_lo": q4_lo, "zmax": zmax},
         "passed": lhs == rhs,
-        "lhs_terms": len(lhs.coeffs),
-        "rhs_terms": len(rhs.coeffs),
+        "lhs_terms": len(lhs.terms),
+        "rhs_terms": len(rhs.terms),
     }

@@ -183,6 +183,8 @@ def cmd_orbit(args):
 def cmd_null(args):
     from .orbit import null_generators
 
+    if args.l > args.n:
+        raise CliError("--l must lie in 0..%d" % args.n)
     gens = null_generators(args.n, args.l)
     payload = {
         "n": args.n,
@@ -214,11 +216,9 @@ def cmd_char(args):
             series = characters.level1_char(int(args.formula[-1]), args.qmax, args.zmax)
         elif args.formula == "demazure":
             series = characters.demazure_char(args.L2 % 2, args.L2)
-        elif args.formula == "minimal":
-            series = characters.minimal_char(args.N, args.qmax)
         else:
-            raise CliError("unknown formula %r" % args.formula)
-        _emit(args, {"formula": args.formula, "table": series.table()})
+            series = characters.minimal_char(args.N, args.qmax)
+        _emit(args, {"formula": args.formula, "table": characters.table(series)})
         return 0
     if args.verify:
         if args.verify == "sum-identity":
@@ -226,17 +226,15 @@ def cmd_char(args):
         elif args.verify == "product":
             rep = characters.char_product_report(args.L2, args.i, depth=args.depth,
                                                  zmax=args.zmax, N_max=args.nmax)
-        elif args.verify == "stabilization":
+        else:
             rep = characters.stabilization_report(args.i)
             rep["passed"] = rep["limit_includes_partition_factor"]
-        else:
-            raise CliError("unknown verification %r" % args.verify)
         _emit(args, rep)
         return 0 if rep.get("passed") else 1
     if args.measured:
         dims = serialize.dims_from_json(_read_json(args.measured))
         series = characters.measured_char(dims, args.N)
-        _emit(args, {"N": args.N, "table": series.table()})
+        _emit(args, {"N": args.N, "table": characters.table(series)})
         return 0
     raise CliError("char needs one of --formula, --verify, --measured")
 
@@ -254,7 +252,13 @@ def _applicable_degrees(family: str, n: int):
 def cmd_oracle(args):
     from .fermion import cross_check
 
-    degrees = [args.l] if args.l is not None else _applicable_degrees(args.family, args.n)
+    degrees = _applicable_degrees(args.family, args.n)
+    if args.l is not None:
+        if args.l not in degrees:
+            raise CliError("--l %d does not apply to %s at n = %d" % (args.l, args.family, args.n))
+        degrees = [args.l]
+    if not degrees:
+        raise CliError("no input degree applies to %s at n = %d" % (args.family, args.n))
     reports = []
     for idx, l in enumerate(degrees):
         reports.append(cross_check(args.family, args.n, l,
@@ -297,7 +301,6 @@ def cmd_accept(args):
 
 
 def _natural(text: str) -> int:
-    """argparse type for a nonnegative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("%s is negative" % text)
@@ -346,8 +349,8 @@ def build_parser():
     pt = sub.add_parser("tower", help="emit a named tower of cycles")
     pt.add_argument("--name", required=True,
                     choices=("distinguished", "identity", "jplus", "jminus", "Tz", "Tzbar"))
-    pt.add_argument("--weight", type=int, default=0)
-    pt.add_argument("--nmax", type=int, default=6)
+    pt.add_argument("--weight", type=_natural, default=0)
+    pt.add_argument("--nmax", type=_natural, default=6)
     pt.add_argument("--out")
     pt.set_defaults(fn=cmd_tower)
 
@@ -365,8 +368,8 @@ def build_parser():
     po.set_defaults(fn=cmd_orbit)
 
     pn = sub.add_parser("null", help="emit null-layer generators")
-    pn.add_argument("--n", type=int, required=True)
-    pn.add_argument("--l", type=int, required=True)
+    pn.add_argument("--n", type=_natural, required=True)
+    pn.add_argument("--l", type=_natural, required=True)
     pn.add_argument("--out")
     pn.set_defaults(fn=cmd_null)
 
@@ -380,20 +383,20 @@ def build_parser():
     pc.add_argument("--formula", choices=("chi0", "chi1", "demazure", "minimal"))
     pc.add_argument("--verify", choices=("sum-identity", "product", "stabilization"))
     pc.add_argument("--measured", help="dims JSON from the orbit verb")
-    pc.add_argument("--qmax", type=int, default=6)
-    pc.add_argument("--zmax", type=int, default=4)
-    pc.add_argument("--L2", type=int, default=0, help="twice the cutoff level")
-    pc.add_argument("--i", type=int, default=0)
-    pc.add_argument("--N", type=int, default=1)
-    pc.add_argument("--depth", type=int, default=3)
-    pc.add_argument("--nmax", type=int, default=6)
+    pc.add_argument("--qmax", type=_natural, default=6)
+    pc.add_argument("--zmax", type=_natural, default=4)
+    pc.add_argument("--L2", type=_natural, default=0, help="twice the cutoff level")
+    pc.add_argument("--i", type=int, choices=(0, 1), default=0)
+    pc.add_argument("--N", type=_natural, default=1)
+    pc.add_argument("--depth", type=_natural, default=3)
+    pc.add_argument("--nmax", type=_natural, default=6)
     pc.add_argument("--out")
     pc.set_defaults(fn=cmd_char)
 
     pf = sub.add_parser("oracle", help="cross-check one family against the fermions")
     pf.add_argument("--family", required=True, choices=SERIES_FAMILIES)
-    pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--l", type=int, help="input degree; defaults to all applicable")
+    pf.add_argument("--n", type=_natural, required=True)
+    pf.add_argument("--l", type=_natural, help="input degree; defaults to all applicable")
     pf.add_argument("--samples", type=_positive, default=5)
     pf.add_argument("--order", type=_natural, default=3)
     pf.add_argument("--seed", type=int, default=0)

@@ -272,12 +272,11 @@ class LaurentPoly:
 
     # -- leading terms and division -----------------------------------------
 
-    def lead(self, varorder=None):
-        """Leading (mono, coeff) under graded lex on varorder."""
+    def lead(self):
+        """Leading (mono, coeff) under graded lex on the sorted variables."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        if varorder is None:
-            varorder = self.variables()
+        varorder = self.variables()
         index = {v: i for i, v in enumerate(varorder)}
 
         def key(mono):
@@ -909,7 +908,7 @@ def series_expand(f, var: str, point: str, order: int) -> dict:
         raise ValueError("expansion point must be 'zero' or 'inf'")
     f = _ratfn(f)
     if point == "inf":
-        flipped = RationalFn(_flip_var(f.num, var), [(_flip_var(p, var), m) for p, m in f.den])
+        flipped = RationalFn(invert_var(f.num, var), [(invert_var(p, var), m) for p, m in f.den])
         coeffs = series_expand(flipped, var, "zero", order)
         return {-k: v for k, v in coeffs.items()}
     num, den = f.num, f.den_poly()
@@ -939,7 +938,8 @@ def series_expand(f, var: str, point: str, order: int) -> dict:
     return {k + shift: v for k, v in out.items() if k + shift <= order}
 
 
-def _flip_var(p: LaurentPoly, var: str) -> LaurentPoly:
+def invert_var(p: LaurentPoly, var: str) -> LaurentPoly:
+    """p with var replaced by 1/var."""
     out = {}
     for mono, coeff in p.terms.items():
         d = dict(mono)

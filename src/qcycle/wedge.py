@@ -270,8 +270,8 @@ def theta_at(n: int, value) -> LaurentPoly:
     return out
 
 
-def theta(n: int, var: str = "t") -> LaurentPoly:
-    return theta_at(n, LaurentPoly.var(var))
+def theta(n: int) -> LaurentPoly:
+    return theta_at(n, LaurentPoly.var("t"))
 
 
 _KERNEL_CACHE = {}

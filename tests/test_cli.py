@@ -210,9 +210,30 @@ def test_malformed_element_exits_2(tmp_path, elem):
     ["oracle", "--family", "xminus", "--n", "2", "--l", "1", "--samples", "-1"],
     ["oracle", "--family", "xminus", "--n", "2", "--l", "1", "--samples", "0"],
     ["oracle", "--family", "xminus", "--n", "2", "--order", "-1"],
+    ["char", "--formula", "chi0", "--qmax", "-1"],
+    ["char", "--formula", "chi0", "--zmax", "-1"],
+    ["char", "--formula", "minimal", "--N", "-1"],
+    ["char", "--verify", "sum-identity", "--L2", "-1"],
+    ["char", "--verify", "product", "--L2", "1", "--i", "2"],
+    ["char", "--verify", "product", "--depth", "-1"],
+    ["char", "--verify", "stabilization", "--i", "3"],
+    ["oracle", "--family", "xminus", "--n", "-1"],
+    ["oracle", "--family", "xminus", "--n", "0"],
+    ["oracle", "--family", "xminus", "--n", "2", "--l", "5", "--samples", "1"],
+    ["oracle", "--family", "xminus", "--n", "2", "--l", "-1"],
+    ["oracle", "--family", "xplus", "--n", "2", "--l", "0", "--samples", "1"],
+    ["null", "--n", "-1", "--l", "0"],
+    ["null", "--n", "2", "--l", "5"],
+    ["null", "--n", "2", "--l", "-1"],
+    ["tower", "--name", "identity", "--nmax", "-1"],
+    ["tower", "--name", "distinguished", "--weight", "-1"],
 ], ids=["act-family", "oracle-t1", "oracle-family", "orbit-N", "orbit-deg",
         "act-series-t1", "act-aplus-k0", "act-order-negative", "oracle-samples-negative",
-        "oracle-samples-zero", "oracle-order-negative"])
+        "oracle-samples-zero", "oracle-order-negative", "char-qmax-negative",
+        "char-zmax-negative", "char-N-negative", "char-L2-negative", "char-product-i2",
+        "char-depth-negative", "char-stabilization-i3", "oracle-n-negative", "oracle-n0-no-degree",
+        "oracle-l-above-n", "oracle-l-negative", "oracle-l-not-applicable", "null-n-negative",
+        "null-l-above-n", "null-l-negative", "tower-nmax-negative", "tower-weight-negative"])
 def test_bad_arguments_exit_2(tmp_path, argv):
     path = tmp_path / "elem.json"
     path.write_text(json.dumps(_element()))

@@ -68,3 +68,22 @@ def test_no_unreferenced_functions():
             used |= names
     unused = ["%s:%s" % d for d in defined if d[1] not in used and d[1] not in _KEEP_UNREFERENCED]
     assert unused == []
+
+
+def test_no_floats():
+    # an exact engine computes with no floats: no float literal (so no
+    # `** 0.5`), no float() and no sqrt.  The exceptions are the
+    # `rng.random() < p` thresholds of sampling.py and acceptance.py, which
+    # fix the shape of each random draw.
+    root = pathlib.Path(qcycle.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines), filename=str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                    and not (path.name in ("sampling.py", "acceptance.py")
+                             and "rng.random() < " in lines[node.lineno - 1])
+                    or getattr(func, "id", getattr(func, "attr", None)) in ("float", "sqrt")):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
