@@ -236,7 +236,7 @@ def criterion_8() -> CritResult:
         rep = sum_identity_report(L2, qmax=8, zmax=6)
         r.check(rep["passed"], "summation identity at 2L=%d on (q^8, z^6)" % L2)
     for (L2, i) in ((0, 0), (2, 0), (1, 1)):
-        rep = char_product_report(L2, i, depth=3, zmax=4, N_max=6)
+        rep = char_product_report(L2, i, depth=3, zmax=4)
         r.check(rep["passed"],
                 "product identity at 2L=%d sector %d (level-one sector %s)"
                 % (L2, i, rep.get("level_one_sector")))

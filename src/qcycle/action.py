@@ -23,9 +23,9 @@ from .cyclotomic import CycScalar, I, i_power
 from .laurent import (
     LaurentPoly,
     RationalFn,
-    negate_var,
     series_expand,
     series_expand_coeffs,
+    substitute,
     zvar,
 )
 from .wedge import (
@@ -299,7 +299,8 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
     t = LaurentPoly.var("t")
     one = LaurentPoly.one()
     th_t = theta(n)
-    th_m = negate_var(th_t, "t")
+    flip = {"t": -t}
+    th_m = substitute(th_t, flip)
     table = a_slot_table(n, family)
 
     diag_num = LaurentPoly.zero()
@@ -319,7 +320,7 @@ def _a_series_basis(family: str, P: WedgeElem, point: str, order: int) -> dict:
     plus = dict(slot_terms)
     for subset, coeff in P.terms.items():
         add_term(plus, subset, coeff * diag_num)
-    minus = {key: RationalFn(negate_var(c.num, "t"), c.den) for key, c in slot_terms.items()}
+    minus = {key: RationalFn(substitute(c.num, flip), c.den) for key, c in slot_terms.items()}
 
     per_power = {}
     for half, th in ((plus, th_t), (minus, th_m)):

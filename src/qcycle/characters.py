@@ -13,7 +13,11 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import CycScalar
-from .laurent import LaurentPoly, invert_var
+from .laurent import LaurentPoly, substitute
+
+
+# q -> 1/q, the inverted-q grading of the tower characters
+_INVERT_Q = {"q4": LaurentPoly.var("q4", -1)}
 
 
 def _mono(q4: int, z: int) -> tuple:
@@ -189,7 +193,7 @@ def sum_identity_report(L2: int, qmax: int = 8, zmax: int = 6) -> dict:
         lhs = lhs + head * inv_qpoch_finite(l, qmax + L2 * L2) * qz(shift4, l)
     rhs = LaurentPoly()
     for s in range(0, zmax + 1):
-        rhs = rhs + invert_var(gauss_binom(L2, s), "q4") * qz(0, s)
+        rhs = rhs + substitute(gauss_binom(L2, s), _INVERT_Q) * qz(0, s)
     box = dict(q4_lo=q4_lo, q4_hi=4 * qmax, zmax=zmax)
     left = window(lhs, **box)
     right = window(rhs, **box)
@@ -240,14 +244,13 @@ def char_match_report(N: int, D: int, dims: dict) -> dict:
             "measured_terms": len(measured.terms)}
 
 
-def char_product_report(L2: int, i: int, depth: int = 3, zmax: int = 4,
-                        N_max: int = 6) -> dict:
+def char_product_report(L2: int, i: int, depth: int = 3, zmax: int = 4) -> dict:
     """The truncated tower-space character against the two-character product.
 
     Sums the twisted per-length characters over lengths of the fixed parity
     and compares with the product of the inverted-q level-one character and
-    the polynomial finitization.  The window is q-exponent >= -depth (lengths
-    above N_max must not reach it, which is checked), |z| <= zmax.
+    the polynomial finitization.  The window is q-exponent >= -depth and
+    |z| <= zmax; the sum runs over every length that reaches it.
 
     The finitization sector is forced to 2L mod 2 by its own parity; the
     level-one factor then must sit in sector (i + 2L) mod 2 for the product
@@ -262,21 +265,21 @@ def char_product_report(L2: int, i: int, depth: int = 3, zmax: int = 4,
     def top4(N):
         return N * L2 * 2 - N * N
 
-    next_N = N_max + (2 if (N_max - i) % 2 == 0 else 1)
-    if not (next_N >= L2 and top4(next_N) < q4_lo):
-        return {"L2": L2, "sector": i, "passed": False,
-                "reason": "window needs lengths beyond N_max"}
+    # top4 falls past its peak at N = 2L, so no length above N_max reaches the window
+    N_max = i
+    while not (N_max + 2 >= L2 and top4(N_max + 2) < q4_lo):
+        N_max += 2
 
     lhs = LaurentPoly()
     for N in range(i, N_max + 1, 2):
         need = depth + (N * L2 + 1) // 2 + 1
         # q^(N L) twist from the z-product scaling
-        lhs = lhs + invert_var(minimal_char(N, need), "q4") * qz(2 * N * L2)
+        lhs = lhs + substitute(minimal_char(N, need), _INVERT_Q) * qz(2 * N * L2)
     lhs = window(lhs, q4_lo=q4_lo, zmax=zmax)
 
     dem = demazure_char(j, L2)
     chi_depth = depth + (dem.degree("q4") + 3) // 4 + 1
-    chi = invert_var(level1_char(chi_sector, chi_depth, zmax + L2), "q4")
+    chi = substitute(level1_char(chi_sector, chi_depth, zmax + L2), _INVERT_Q)
     rhs = window(chi * dem, q4_lo=q4_lo, zmax=zmax)
     return {
         "L2": L2,

@@ -225,7 +225,7 @@ def cmd_char(args):
             rep = characters.sum_identity_report(args.L2, qmax=args.qmax, zmax=args.zmax)
         elif args.verify == "product":
             rep = characters.char_product_report(args.L2, args.i, depth=args.depth,
-                                                 zmax=args.zmax, N_max=args.nmax)
+                                                 zmax=args.zmax)
         else:
             rep = characters.stabilization_report(args.i)
             rep["passed"] = rep["limit_includes_partition_factor"]
@@ -389,7 +389,6 @@ def build_parser():
     pc.add_argument("--i", type=int, choices=(0, 1), default=0)
     pc.add_argument("--N", type=_natural, default=1)
     pc.add_argument("--depth", type=_natural, default=3)
-    pc.add_argument("--nmax", type=_natural, default=6)
     pc.add_argument("--out")
     pc.set_defaults(fn=cmd_char)
 

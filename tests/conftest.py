@@ -80,3 +80,27 @@ def skew_collect(poly, n: int, l: int) -> WedgeElem:
         restm = tuple(sorted(rest.items()))
         add_term(acc, key, LaurentPoly.monomial(restm, coeff if sign > 0 else -coeff))
     return WedgeElem(n, l, {key: RationalFn(c, den) for key, c in acc.items()})
+
+
+def substitute_rational(p, bindings: dict) -> RationalFn:
+    """Reference substitution: any polynomial or RationalFn binding, term by term.
+
+    Each variable of a term is replaced by its binding (all bindings at once)
+    and the term is built as a product of powers of RationalFn; a RationalFn
+    p goes through its numerator and each denominator factor.
+    """
+    if isinstance(p, RationalFn):
+        out = substitute_rational(p.num, bindings)
+        for f, m in p.den:
+            out = out / substitute_rational(f, bindings) ** m
+        return out
+    total = RationalFn.from_poly(LaurentPoly.zero())
+    for mono, coeff in p.terms.items():
+        term = RationalFn.from_poly(LaurentPoly.const(coeff))
+        for name, e in mono:
+            val = bindings.get(name, LaurentPoly.var(name))
+            if not isinstance(val, RationalFn):
+                val = RationalFn.from_poly(val)
+            term = term * val ** e
+        total = total + term
+    return total

@@ -10,7 +10,6 @@ from qcycle.laurent import (
     LaurentPoly,
     RationalFn,
     exact_div,
-    negate_var,
     series_expand_coeffs,
     substitute,
     sym_elementary,
@@ -105,7 +104,8 @@ def _a_series_by_expansion(family, P, point, order):
     n, l = P.n, P.l
     t = LaurentPoly.var("t")
     th_t = theta(n)
-    th_m = negate_var(th_t, "t")
+    flip = {"t": -t}
+    th_m = substitute(th_t, flip)
     poly = to_poly(P)
     num, den = poly.num, poly.den
     diag = LaurentPoly.zero()
@@ -116,13 +116,13 @@ def _a_series_by_expansion(family, P, point, order):
     plus, minus = diag * num, LaurentPoly.zero()
     for p in range(1, l + 1):
         Xp = LaurentPoly.var(Xvar(p))
-        sub = substitute(num, {Xvar(p): t}).as_laurent()
+        sub = substitute(num, {Xvar(p): t})
         if family == "aplus":
             quot = t * exact_div(theta_at(n, Xp) * sub - th_t * num, Xp - t)
         else:
             quot = -exact_div(t * theta_at(n, Xp) * sub - Xp * th_t * num, Xp - t)
         plus = plus + quot
-        minus = minus + negate_var(quot, "t")
+        minus = minus + substitute(quot, flip)
     per_power = {}
     for nump, th in ((plus, th_t), (minus, th_m)):
         part = RationalFn(nump, list(den) + [(th, 1)])

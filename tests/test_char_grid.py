@@ -4,7 +4,10 @@ Each invocation below was run through the engine as it stood before the
 character series moved onto LaurentPoly, when they had their own
 (4q, z) -> Fraction container.  Its exit code and the first 16 hex digits of
 the sha256 of its stdout were recorded; the current engine must reproduce
-both.
+both.  The one exception is `char --verify product --L2 3 --i 1`.  With the
+fixed `--nmax 6` of that engine it summed too few lengths for its window and
+exited 1 without a verdict.  Its entry is recorded from the engine that picks
+the lengths itself, so every invocation exits 0.
 """
 
 import hashlib
@@ -54,13 +57,9 @@ RECORDED = """
     afbbd767a10ced54 e8fb294d79372bda 614266738af4c323 32bfc9bf7ad3ec65
     e468818e0014fbda 3c250d00833f86f7 a2d3e82a9ca8a893 05d334823ab38a4c
     00e8e666cb9e39d0 b67eae9eba642dfb be717ec26253d77e cc2522c2fffc219d
-    78fb2e46f7b12708 fb08cc38893179cf 9825c247a135d638 1d2f37125de6c1f7
+    78fb2e46f7b12708 4fedf14a5707268a 9825c247a135d638 1d2f37125de6c1f7
     14494d9404ed9bda
 """.split()
-
-# every other invocation exits 0; this window needs lengths beyond N_max
-EXIT_CODES = {"char --verify product --L2 3 --i 1": 1}
-
 
 def test_grid_is_fully_recorded():
     assert len(GRID) == len(RECORDED) == 109
@@ -72,4 +71,4 @@ def test_char_output_matches_record(invocation, recorded, tmp_path, capsys):
     dims.write_text(json.dumps(DIMS))
     code = cli.main([str(dims) if a == "DIMS" else a for a in invocation.split()])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest[:16]) == (EXIT_CODES.get(invocation, 0), recorded)
+    assert (code, digest[:16]) == (0, recorded)

@@ -16,14 +16,14 @@ from qcycle.characters import (
     sum_identity_report,
     window,
 )
-from qcycle.laurent import LaurentPoly, invert_var
+from qcycle.laurent import LaurentPoly, substitute
 
 
 def test_binomials():
     assert gauss_binom(2, 1) == qz(0) + qz(4)
     assert gauss_binom(1, 2).is_zero()
     assert coeff(gauss_binom(4, 2), 8, 0) == 2  # 1 + q + 2q^2 + q^3 + q^4
-    inv = invert_var(gauss_binom(2, 1), "q4")
+    inv = substitute(gauss_binom(2, 1), {"q4": LaurentPoly.var("q4", -1)})
     assert inv == qz(0) + qz(-4)
 
 
@@ -93,15 +93,29 @@ def test_measured_vs_formula_from_orbit():
 
 
 def test_product_identity_cases():
-    for (L2, i) in ((0, 0), (2, 0), (1, 1)):
-        rep = char_product_report(L2, i, depth=3, zmax=4, N_max=6)
-        assert rep["passed"], rep
-    # the half-integer case pairs the opposite level-one sector
-    rep = char_product_report(1, 1, depth=3, zmax=4, N_max=6)
-    assert rep["level_one_sector"] == 0
+    # the report sums over as many lengths as the window needs, so every
+    # cutoff and sector verifies; a half-integer cutoff pairs the opposite
+    # level-one sector
+    for L2 in range(6):
+        for i in (0, 1):
+            rep = char_product_report(L2, i, depth=3, zmax=4)
+            assert rep["passed"], rep
+            assert rep["level_one_sector"] == (i + L2) % 2
 
 
 def test_product_window_insufficiency_flagged():
-    rep = char_product_report(4, 0, depth=3, zmax=4, N_max=2)
-    assert not rep["passed"]
-    assert "beyond" in rep["reason"]
+    # a length bound of 2 left L2 = 4 short: length 8 still reaches the window
+    # (q-exponent >= -3, |z| <= 4), while lengths 10 and 12 fall past it.  The
+    # report picks its own lengths, so it covers length 8 and is never flagged.
+    L2, depth = 4, 3
+
+    def in_window(N):
+        need = depth + (N * L2 + 1) // 2 + 1
+        twisted = substitute(minimal_char(N, need), {"q4": LaurentPoly.var("q4", -1)})
+        return window(twisted * qz(2 * N * L2), q4_lo=-4 * depth, zmax=4)
+
+    assert not in_window(8).is_zero()
+    assert in_window(10).is_zero() and in_window(12).is_zero()
+    rep = char_product_report(L2, 0, depth=depth, zmax=4)
+    assert rep["passed"], rep
+    assert "reason" not in rep

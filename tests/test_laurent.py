@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from qcycle.cyclotomic import CycScalar
 from qcycle.laurent import (
     LaurentPoly,
     NonDivisibleError,
@@ -20,7 +22,7 @@ from qcycle.laurent import (
     sym_power,
 )
 
-from conftest import bialternant_schur
+from conftest import bialternant_schur, substitute_rational
 
 z1 = LaurentPoly.var("z1")
 z2 = LaurentPoly.var("z2")
@@ -86,15 +88,71 @@ def test_substitute_examples():
 
 def test_substitute_zero_into_laurent_exponent():
     p = LaurentPoly.var("z1", -1)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError):
         substitute(p, {"z1": LaurentPoly.zero()})
 
 
 def test_substitute_general_rational():
-    # z1 -> 1 + z2 forces a true fraction for negative exponents
+    # a binding must be one nonzero term: z1 -> 1 + z2 would need a fraction
     p = LaurentPoly.var("z1", -1)
-    r = substitute(p, {"z1": one + z2})
-    assert r * (one + z2) == RationalFn.from_poly(one)
+    with pytest.raises(ValueError):
+        substitute(p, {"z1": one + z2})
+    with pytest.raises(ValueError):
+        substitute(p, {"z1": RationalFn.from_poly(z2)})
+    # and may not leave a polynomial-only variable with a negative exponent
+    with pytest.raises(ValueError):
+        substitute(p, {"z1": X})
+
+
+def test_substitute_matches_rational_reference():
+    # seeded Laurent polynomials in z1..z4, t and X under random monomial
+    # bindings: renames, inversions, negations, swaps, scalar multiples
+    rng = random.Random(41)
+    lvars = ["z1", "z2", "z3", "z4", "t"]
+    scalars = [CycScalar.zeta(1), CycScalar(-1), CycScalar(Fraction(2, 3))]
+
+    def rand_mono(names, low):
+        return tuple(sorted((v, rng.randint(low, 3)) for v in names))
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = rand_mono(rng.sample(lvars, rng.randint(0, 4)), -3)
+            if rng.random() < 0.5:
+                mono = tuple(sorted(mono + (("X", rng.randint(1, 3)),)))
+            terms[mono] = rng.choice(scalars + [CycScalar(rng.randint(1, 5))])
+        return LaurentPoly(terms)
+
+    def rand_bindings():
+        names = lvars[:]
+        rng.shuffle(names)
+        b = {}
+        if rng.random() < 0.6:
+            a, c = names.pop(), names.pop()
+            b[a], b[c] = LaurentPoly.var(c), LaurentPoly.var(a)
+        for v in names:
+            kind = rng.randrange(7)
+            if kind == 1:
+                b[v] = LaurentPoly.var(rng.choice(lvars))
+            elif kind == 2:
+                b[v] = LaurentPoly.var(v, -1)
+            elif kind == 3:
+                b[v] = -LaurentPoly.var(v)
+            elif kind == 4:
+                b[v] = LaurentPoly.var(v).scale(rng.choice(scalars))
+            elif kind == 5:
+                b[v] = LaurentPoly.const(rng.choice(scalars))
+            elif kind == 6:
+                b[v] = LaurentPoly.monomial(rand_mono(rng.sample(lvars, 2), -2), rng.choice(scalars))
+        if rng.random() < 0.5:
+            b["X"] = LaurentPoly.monomial(rand_mono(["X"] + rng.sample(lvars, 1), 0),
+                                          rng.choice(scalars))
+        return b
+
+    for _ in range(300):
+        p, b = rand_poly(), rand_bindings()
+        ref = substitute_rational(p, b)
+        assert ref.is_poly() and substitute(p, b) == ref.num, (p, b)
 
 
 def test_substitute_ratfn_reduces_before_a_pole():

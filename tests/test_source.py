@@ -1,6 +1,8 @@
 """Checks over the qcycle source text."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import qcycle
@@ -87,3 +89,29 @@ def test_no_floats():
                     or getattr(func, "id", getattr(func, "attr", None)) in ("float", "sqrt")):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# caches the benchmark tracer still lists after their code was deleted
+_KNOWN_ABSENT_CACHES = {"_DET_CACHE"}
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps layers and reads caches by name, and drops a
+    # layer or a cache silently when a name no longer resolves
+    path = pathlib.Path(__file__).resolve().parents[1] / "qbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("qbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for layer, targets in tracing.LAYERS.items():
+        for modname, qual in targets:
+            owner = importlib.import_module("qcycle." + modname)
+            for part in qual.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                unresolved.append("%s: %s.%s" % (layer, modname, qual))
+    assert unresolved == []
+    absent = {name for name, modname in tracing.CACHES.items()
+              if not isinstance(getattr(importlib.import_module("qcycle." + modname), name, None),
+                                dict)}
+    assert absent == _KNOWN_ABSENT_CACHES

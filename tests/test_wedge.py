@@ -9,7 +9,6 @@ from qcycle.laurent import (
     LaurentPoly,
     RationalFn,
     series_expand,
-    substitute_ratfn,
     sym_elementary,
 )
 from qcycle.sampling import random_wedge
@@ -25,7 +24,7 @@ from qcycle.wedge import (
     theta,
 )
 
-from conftest import Xvar, skew_collect, to_poly
+from conftest import Xvar, skew_collect, substitute_rational, to_poly
 
 one = LaurentPoly.one()
 z1 = LaurentPoly.var("z1")
@@ -148,7 +147,7 @@ def _specialize_by_expansion(P, slot, value):
     bindings = {Xvar(slot): value}
     for j in range(slot + 1, P.l + 1):
         bindings[Xvar(j)] = LaurentPoly.var(Xvar(j - 1))
-    res = skew_collect(substitute_ratfn(to_poly(P), bindings), P.n, P.l - 1)
+    res = skew_collect(substitute_rational(to_poly(P), bindings), P.n, P.l - 1)
     inv = CycScalar(Fraction(1, math.factorial(P.l - 1)))
     return res.map_coeffs(lambda c: c * inv)
 
