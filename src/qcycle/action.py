@@ -168,7 +168,8 @@ def act_series(family: str, P: WedgeElem, order: int, point: str | None = None,
     `point` defaults to the natural side: the positive-mode series expand at
     zero, the nonpositive ones at infinity.  With expect_polynomial=True the
     xplus2 coefficients must reduce to Laurent polynomials (guaranteed for
-    weakly minimal input) and failure raises.  The work is done at order at
+    weakly minimal input) and failure raises; the coefficients come back in
+    that reduced form, with no denominator.  The work is done at order at
     least 3, which the kernel caches share, and trimmed to the request.
     """
     n, l = P.n, P.l
@@ -204,10 +205,13 @@ def act_series(family: str, P: WedgeElem, order: int, point: str | None = None,
                     raise ArithmeticError("residue kernel must vanish at t^-1")
             if expect_polynomial:
                 for k, elem in coeffs.items():
-                    if elem.coeffs_as_laurent() is None:
+                    laurent = elem.coeffs_as_laurent()
+                    if laurent is None:
                         raise ArithmeticError(
                             "divided raising series left the Laurent lattice at t^%d "
                             "on weakly minimal input" % k)
+                    # keep the reduced form, so later checks do not reduce again
+                    coeffs[k] = WedgeElem(n, l_out, laurent)
     else:  # aplus, aminus
         l_out = l
         coeffs = _combine_per_basis(family, P, point, order, _a_series_basis)

@@ -10,7 +10,11 @@ RationalFn keeps its denominator as a list of (factor, multiplicity) pairs.
 The fractions produced here always have structured denominators (products of
 theta factors, binomials like 1 - z*t, differences of squares), so
 cancellation is attempted factor by factor with exact division instead of a
-general multivariate gcd.  Equality is decided by cross multiplication over
+general multivariate gcd.  A division is tried only when a cheap exact test
+leaves it possible: every variable span of the factor fits in the
+numerator's, and a two-term factor must pass the factor theorem (the
+numerator vanishes at the factor's monomial root, when a variable of
+exponent +-1 gives one).  Equality is decided by cross multiplication over
 the lcm of the two factor lists and never depends on reduction succeeding.
 
 Substitution is monomial only (each variable goes to one nonzero term, all at
@@ -21,6 +25,7 @@ q -> 1/q and z_j <-> z_(j+1), and keeps every result a Laurent polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+import heapq
 import operator
 from itertools import chain, combinations
 
@@ -344,16 +349,19 @@ def _poly(x):
 
 def _min_exponents(p: LaurentPoly) -> Mono:
     """Variable-wise minimum exponents over all terms (absent term = 0)."""
-    allvars = set()
+    low, seen = {}, {}
     for mono in p.terms:
-        for name, _ in mono:
-            allvars.add(name)
-    out = {}
-    for name in allvars:
-        low = min(dict(mono).get(name, 0) for mono in p.terms)
-        if low:
-            out[name] = low
-    return tuple(sorted(out.items()))
+        for name, e in mono:
+            if name in low:
+                seen[name] += 1
+                if e < low[name]:
+                    low[name] = e
+            else:
+                low[name], seen[name] = e, 1
+    # exponents are nonzero, so a variable some term lacks has minimum min(low, 0)
+    nterms = len(p.terms)
+    return tuple(sorted((name, e) for name, e in low.items()
+                        if e < 0 or seen[name] == nterms))
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -391,8 +399,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     cb_inv = cb.inverse()
     lead_b_d = dict(lead_b)
     tail_b = [(m, c) for m, c in bh.terms.items() if m != lead_b]
-
-    import heapq
 
     rdict = dict(ah.terms)
     heap = [(negkey(m), m) for m in rdict]
@@ -663,7 +669,8 @@ def _cancel_factors(num: LaurentPoly, factors):
 
 
 def _could_divide(num: LaurentPoly, f: LaurentPoly) -> bool:
-    """Cheap necessary condition: every variable span of f fits inside num's."""
+    """Cheap necessary condition for f | num: every variable span of f fits
+    inside num's, and a binomial f's monomial root kills num."""
     if len(f.terms) > len(num.terms):
         return False
     spans = {}
@@ -680,7 +687,31 @@ def _could_divide(num: LaurentPoly, f: LaurentPoly) -> bool:
         nlo, nhi = spans.get(name, (0, 0))
         if hi - lo > nhi - nlo:
             return False
+    if len(f.terms) == 2:
+        # factor theorem: x -> c*m is a ring map killing f, so f | num
+        # forces num to vanish under it too
+        root = _binomial_root(f)
+        if root is not None and not substitute(num, root).is_zero():
+            return False
     return True
+
+
+def _binomial_root(f: LaurentPoly):
+    """A binding {x: c*m} under which the two-term f vanishes, or None.
+
+    f = c1*m1 + c2*m2 = m2*(c1*q + c2) with q = m1/m2 = x^e * r, e = +-1,
+    vanishes at x = (-c2/c1)^e * r^-e.  Only a Laurent x with an X-free r
+    is bound, so the binding never gives an X a negative exponent.
+    """
+    (m1, c1), (m2, c2) = sorted(f.terms.items())
+    q = mono_mul(m1, mono_inv(m2))
+    if not all(_is_laurent_var(name) for name, _ in q):
+        return None
+    for name, e in q:
+        if e in (1, -1):
+            rest = tuple((vn, -e * ve) for vn, ve in q if vn != name)
+            return {name: LaurentPoly.monomial(rest, (-c2 / c1) ** e)}
+    return None
 
 
 def _factor_key(f: LaurentPoly):

@@ -1,6 +1,6 @@
 from itertools import permutations
 
-from qcycle.laurent import LaurentPoly, RationalFn, exact_div, zvar
+from qcycle.laurent import LaurentPoly, NonDivisibleError, RationalFn, exact_div, zvar
 from qcycle.sampling import random_laurent, random_symmetric, random_wedge  # noqa: F401
 from qcycle.wedge import WedgeElem, add_term
 
@@ -104,3 +104,43 @@ def substitute_rational(p, bindings: dict) -> RationalFn:
             term = term * val ** e
         total = total + term
     return total
+
+
+def cancel_factors_reference(num: LaurentPoly, factors):
+    """Reference cancellation: the factor loop with the span pre-test only.
+
+    It tries exact division whenever the term count and every variable span
+    of the factor fit inside the numerator's, so the factor-theorem test of
+    the engine must skip only divisions that would fail.
+    """
+    def spans(p):
+        out = {}
+        for mono in p.terms:
+            for name, e in mono:
+                lo, hi = out.get(name, (0, 0))
+                out[name] = (min(lo, e), max(hi, e))
+        return out
+
+    def could_divide(num, f):
+        if len(f.terms) > len(num.terms):
+            return False
+        have = spans(num)
+        for name, (lo, hi) in spans(f).items():
+            nlo, nhi = have.get(name, (0, 0))
+            if hi - lo > nhi - nlo:
+                return False
+        return True
+
+    if num.is_zero():
+        return num, []
+    kept = []
+    for f, m in factors:
+        while m > 0 and could_divide(num, f):
+            try:
+                num = exact_div(num, f)
+            except NonDivisibleError:
+                break
+            m -= 1
+        if m:
+            kept.append((f, m))
+    return num, kept

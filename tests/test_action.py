@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from qcycle.cyclotomic import CycScalar, I
+from qcycle.acceptance import _random_minimal, _random_weakly_minimal
 from qcycle.laurent import (
     LaurentPoly,
     RationalFn,
@@ -159,6 +160,22 @@ def test_divided_raising_zero_mode():
     P = WedgeElem(2, 2, {(0, 1): sym_elementary(2, 1)})
     got = apply_mode(GenMode("xplus2", 0), P)
     assert got == WedgeElem(2, 0, {(): one}).scaled(-I)
+
+
+def test_divided_raising_keeps_the_checked_laurent_form():
+    # under expect_polynomial the coefficients come back reduced, and equal
+    # to the unreduced ones of the plain call
+    rng = random.Random(2)
+    for n in (2, 3, 4):
+        for sample in (_random_minimal, _random_weakly_minimal):
+            P = sample(rng, n)
+            for point in ("zero", "inf"):
+                checked = act_series("xplus2", P, 3, point, expect_polynomial=True)
+                plain = act_series("xplus2", P, 3, point)
+                assert checked.coeffs.keys() == plain.coeffs.keys()
+                for k, elem in checked.coeffs.items():
+                    assert all(c.is_poly() for c in elem.terms.values()), (n, point, k)
+                    assert elem == plain.coeffs[k]
 
 
 def test_divided_square_consistency():

@@ -9,6 +9,8 @@ from qcycle.laurent import (
     LaurentPoly,
     NonDivisibleError,
     RationalFn,
+    _cancel_factors,
+    _min_exponents,
     exact_div,
     frobenius_to_partition,
     is_symmetric,
@@ -22,7 +24,7 @@ from qcycle.laurent import (
     sym_power,
 )
 
-from conftest import bialternant_schur, substitute_rational
+from conftest import bialternant_schur, cancel_factors_reference, substitute_rational
 
 z1 = LaurentPoly.var("z1")
 z2 = LaurentPoly.var("z2")
@@ -61,14 +63,64 @@ def test_exact_div_random_round_trip():
             mono = tuple((n, e) for n, e in mono if e)
             p = p + LaurentPoly.monomial(mono, rng.randint(-4, 4))
         return p
+
+    def min_exponents_reference(p):
+        names = {name for mono in p.terms for name, _ in mono}
+        low = {name: min(dict(mono).get(name, 0) for mono in p.terms) for name in names}
+        return tuple(sorted((name, e) for name, e in low.items() if e))
+
     checked = 0
     for _ in range(1000):
         a, b = rand_poly(), rand_poly()
         if b.is_zero():
             continue
         assert exact_div(a * b, b) == a
+        assert _min_exponents(a * b) == min_exponents_reference(a * b)
         checked += 1
     assert checked > 900
+    # z1 all positive, t all negative, z2 absent from one term
+    p = z1 ** 2 * LaurentPoly.var("t", -1) + z1 * z2 ** 3 * LaurentPoly.var("t", -2)
+    assert _min_exponents(p) == (("t", -2), ("z1", 1)) == min_exponents_reference(p)
+
+
+def test_binomial_root_test_skips_only_failing_divisions():
+    # the factor-theorem pre-test against the cancellation loop that tries
+    # every division the spans allow: q*f must cancel, q*f + r must not
+    rng = random.Random(23)
+    w = CycScalar.zeta(1)
+    z, X1 = LaurentPoly.var("z"), LaurentPoly.var("X1")
+    z1inv, z2inv = LaurentPoly.var("z1", -1), LaurentPoly.var("z2", -1)
+    shapes = [
+        one - z * t, one + z * t, z1 - z2, z1.scale(w) - z2inv,
+        X1 * z1 - X1 * t, one - z2 ** 2 * z1inv ** 2,
+        # roots through a variable of exponent -1 with a coefficient other than +-1
+        z1inv - z2.scale(w), LaurentPoly.const(2) + 3 * z * t,
+    ]
+    names = ["z", "t", "z1", "z2"]
+    scalars = [CycScalar(1), CycScalar(-2), w, CycScalar(Fraction(1, 3))]
+
+    def rand_poly(terms):
+        p = LaurentPoly.zero()
+        for _ in range(terms):
+            mono = tuple(sorted((v, rng.randint(-2, 2)) for v in rng.sample(names, 2)))
+            if rng.random() < 0.3:
+                mono = tuple(sorted(mono + (("X1", rng.randint(1, 2)),)))
+            p = p + LaurentPoly.monomial(tuple((v, e) for v, e in mono if e), rng.choice(scalars))
+        return p
+
+    cancelled = kept = 0
+    for f in shapes:
+        for _ in range(12):
+            q, r = rand_poly(rng.randint(1, 4)), rand_poly(rng.randint(1, 3))
+            for num in (q * f, q * f * f, q * f + r, q * f * f + r * f):
+                for mult in (1, 2):
+                    got = _cancel_factors(num, [(f, mult)])
+                    assert got == cancel_factors_reference(num, [(f, mult)]), (f, num)
+                    if got[1]:
+                        kept += 1
+                    else:
+                        cancelled += 1
+    assert cancelled > 300 and kept > 300
 
 
 def test_substitute_examples():
